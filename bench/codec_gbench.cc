@@ -16,57 +16,35 @@
 
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "harness/microbench.h"
 #include "hpb/generator.h"
 #include "profile/fleet_model.h"
-#include "proto/codec_generated.h"
-#include "proto/codec_reference.h"
 #include "proto/parser.h"
 #include "proto/schema_random.h"
 #include "proto/serializer.h"
+#include "proto/software_codec.h"
 
 using namespace protoacc;
 using namespace protoacc::proto;
 
 namespace {
 
-SoftwareCodecEngine g_engine = SoftwareCodecEngine::kTable;
-
-// ---------------------------------------------------------------------
-// Engine dispatch. The indirection is outside the measured loops' inner
-// operations only in the sense that it is one predictable branch; all
-// three engines pay it equally.
-// ---------------------------------------------------------------------
+/// Engine every codec row runs on (--engine=).
+const SoftwareCodec *g_codec =
+    &SoftwareCodecFor(SoftwareCodecEngine::kTable);
 
 ParseStatus
 EngineParse(const uint8_t *data, size_t len, Message *msg)
 {
-    switch (g_engine) {
-    case SoftwareCodecEngine::kReference:
-        return ReferenceParseFromBuffer(data, len, msg);
-    case SoftwareCodecEngine::kGenerated:
-        return GeneratedParseFromBuffer(data, len, msg);
-    case SoftwareCodecEngine::kTable:
-        break;
-    }
-    return ParseFromBuffer(data, len, msg);
+    return g_codec->parse(data, len, msg, nullptr, nullptr);
 }
 
 size_t
 EngineSerializeTo(const Message &msg, uint8_t *buf, size_t cap)
 {
-    switch (g_engine) {
-    case SoftwareCodecEngine::kReference:
-        return ReferenceSerializeToBuffer(msg, buf, cap);
-    case SoftwareCodecEngine::kGenerated:
-        return GeneratedSerializeToBuffer(msg, buf, cap);
-    case SoftwareCodecEngine::kTable:
-        break;
-    }
-    return SerializeToBuffer(msg, buf, cap);
+    return g_codec->serialize_to(msg, buf, cap, nullptr);
 }
 
 /// Labels the row with the engine and, for the generated engine,
@@ -75,9 +53,9 @@ EngineSerializeTo(const Message &msg, uint8_t *buf, size_t cap)
 bool
 PrepareEngine(benchmark::State &state, const DescriptorPool &pool)
 {
-    state.SetLabel(SoftwareCodecEngineName(g_engine));
-    if (g_engine == SoftwareCodecEngine::kGenerated &&
-        GetGeneratedCodec(pool) == nullptr) {
+    state.SetLabel(g_codec->name);
+    if (ResolveSoftwareCodec(g_codec->engine, pool).engine !=
+        g_codec->engine) {
         state.SkipWithError("no generated codec linked for this pool");
         return false;
     }
@@ -392,18 +370,17 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--engine=", 9) == 0) {
-            const std::string name = arg + 9;
-            if (name == "reference") {
-                g_engine = SoftwareCodecEngine::kReference;
-            } else if (name == "table") {
-                g_engine = SoftwareCodecEngine::kTable;
-            } else if (name == "generated") {
-                g_engine = SoftwareCodecEngine::kGenerated;
-            } else {
+            g_codec = nullptr;
+            for (const SoftwareCodecEngine e :
+                 {SoftwareCodecEngine::kReference, SoftwareCodecEngine::kTable,
+                  SoftwareCodecEngine::kGenerated})
+                if (std::strcmp(arg + 9, SoftwareCodecFor(e).name) == 0)
+                    g_codec = &SoftwareCodecFor(e);
+            if (g_codec == nullptr) {
                 std::fprintf(stderr,
                              "codec_gbench: unknown engine '%s' "
                              "(reference|table|generated)\n",
-                             name.c_str());
+                             arg + 9);
                 return 2;
             }
             continue;

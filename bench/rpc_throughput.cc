@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "harness/bench_common.h"
+#include "proto/codec_generated.h"
 #include "proto/schema_parser.h"
 #include "rpc/server_runtime.h"
 

@@ -89,11 +89,6 @@ class FrameEngine : public proto::CostSink
         uint64_t stream_ctrl_frames = 0;
     };
 
-    FrameEngine() = default;
-    explicit FrameEngine(const FrameEngineTiming &timing)
-        : timing_(timing)
-    {}
-
     void
     OnCrc(size_t bytes) override
     {
@@ -163,7 +158,6 @@ class FrameEngine : public proto::CostSink
     /// Accumulated device cycles.
     double cycles() const { return cycles_; }
     const Stats &stats() const { return stats_; }
-    const FrameEngineTiming &timing() const { return timing_; }
 
     void
     Reset()

@@ -13,6 +13,15 @@ namespace {
 /// device model's command-router last-resort timeout).
 constexpr uint64_t kWedgeHangCycles = 1'000'000;
 
+/// Cycles to stream a @p table_bytes descriptor-table image into a
+/// unit's local table memory during an epoch swap, at the memloader
+/// width the device model already uses: 16 B/cycle.
+uint64_t
+TableLoadCycles(uint64_t table_bytes)
+{
+    return (table_bytes + 15) / 16;
+}
+
 }  // namespace
 
 SharedAccelQueue::SharedAccelQueue(const SharedQueueConfig &config)
@@ -347,9 +356,7 @@ SharedAccelQueue::BeginTableSwap(uint64_t start_cycle,
     ++current_epoch_;
     ++stats_.table_swaps;
 
-    const uint64_t load_cycles = static_cast<uint64_t>(std::ceil(
-        static_cast<double>(table_bytes) *
-        config_.table_load_cycles_per_byte));
+    const uint64_t load_cycles = TableLoadCycles(table_bytes);
 
     TableSwap swap;
     swap.epoch = current_epoch_;
@@ -405,9 +412,7 @@ SharedAccelQueue::RetryTableLoad(uint32_t unit, uint64_t start_cycle,
     if (unit_epoch_[unit] == current_epoch_)
         return true;  // nothing to reload
 
-    const uint64_t load_cycles = static_cast<uint64_t>(std::ceil(
-        static_cast<double>(table_bytes) *
-        config_.table_load_cycles_per_byte));
+    const uint64_t load_cycles = TableLoadCycles(table_bytes);
     bool killed = false;
     if (unit_injectors_[unit] != nullptr)
         killed = unit_injectors_[unit]->SampleUnitFault().kind !=

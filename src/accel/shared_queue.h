@@ -74,12 +74,6 @@ struct SharedQueueConfig
     /// history while the probationer re-earns trust. 0 disables the
     /// bias.
     uint32_t probation_bias_cycles = 64;
-
-    /// Cycles to stream one byte of a descriptor-table image into a
-    /// unit's local table memory during an epoch swap (BeginTableSwap).
-    /// Default matches the memloader width the device model already
-    /// uses: 16 B/cycle.
-    double table_load_cycles_per_byte = 1.0 / 16.0;
 };
 
 /**
@@ -304,7 +298,7 @@ class SharedAccelQueue
     /**
      * Swap the fleet's descriptor tables to a new epoch: every
      * in-service unit streams the @p table_bytes image into its table
-     * memory (priced at table_load_cycles_per_byte) starting when it is
+     * memory (at the memloader's 16 B/cycle) starting when it is
      * next free at or after @p start_cycle — so in-flight batches
      * complete against the epoch they dispatched under, and new
      * dispatches fence behind the load (the unit's free time IS the

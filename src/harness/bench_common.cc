@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "proto/codec_reference.h"
-
 namespace protoacc::harness {
 
 void
@@ -143,36 +141,6 @@ AccelSerialize(const Workload &workload, const accel::AccelConfig &config,
 
 namespace {
 
-proto::ParseStatus
-EngineParse(proto::SoftwareCodecEngine engine, const uint8_t *data,
-            size_t len, proto::Message *msg)
-{
-    switch (engine) {
-    case proto::SoftwareCodecEngine::kReference:
-        return proto::ReferenceParseFromBuffer(data, len, msg);
-    case proto::SoftwareCodecEngine::kGenerated:
-        return proto::GeneratedParseFromBuffer(data, len, msg);
-    case proto::SoftwareCodecEngine::kTable:
-        break;
-    }
-    return proto::ParseFromBuffer(data, len, msg);
-}
-
-size_t
-EngineSerializeTo(proto::SoftwareCodecEngine engine,
-                  const proto::Message &msg, uint8_t *buf, size_t cap)
-{
-    switch (engine) {
-    case proto::SoftwareCodecEngine::kReference:
-        return proto::ReferenceSerializeToBuffer(msg, buf, cap);
-    case proto::SoftwareCodecEngine::kGenerated:
-        return proto::GeneratedSerializeToBuffer(msg, buf, cap);
-    case proto::SoftwareCodecEngine::kTable:
-        break;
-    }
-    return proto::SerializeToBuffer(msg, buf, cap);
-}
-
 double
 ElapsedNs(std::chrono::steady_clock::time_point start)
 {
@@ -188,6 +156,7 @@ Throughput
 HostWallDeserialize(proto::SoftwareCodecEngine engine,
                     const Workload &workload, int repeats)
 {
+    const proto::SoftwareCodec &codec = proto::SoftwareCodecFor(engine);
     // One untimed warm-up pass: the generated engine's text segment for
     // a HyperProtoBench pool is megabytes of emitted code, and paying
     // its first-touch page-ins inside the timed region would bill a
@@ -197,7 +166,8 @@ HostWallDeserialize(proto::SoftwareCodecEngine engine,
         for (const auto &wire : workload.wires) {
             proto::Message dest = proto::Message::Create(
                 &arena, *workload.pool, workload.msg_index);
-            (void)EngineParse(engine, wire.data(), wire.size(), &dest);
+            (void)codec.parse(wire.data(), wire.size(), &dest, nullptr,
+                              nullptr);
         }
     }
     double bytes = 0;
@@ -207,8 +177,8 @@ HostWallDeserialize(proto::SoftwareCodecEngine engine,
         for (const auto &wire : workload.wires) {
             proto::Message dest = proto::Message::Create(
                 &arena, *workload.pool, workload.msg_index);
-            const proto::ParseStatus st = EngineParse(
-                engine, wire.data(), wire.size(), &dest);
+            const proto::ParseStatus st = codec.parse(
+                wire.data(), wire.size(), &dest, nullptr, nullptr);
             PA_CHECK_EQ(static_cast<int>(st),
                         static_cast<int>(proto::ParseStatus::kOk));
             bytes += static_cast<double>(wire.size());
@@ -225,16 +195,17 @@ Throughput
 HostWallSerialize(proto::SoftwareCodecEngine engine,
                   const Workload &workload, int repeats)
 {
+    const proto::SoftwareCodec &codec = proto::SoftwareCodecFor(engine);
     double bytes = 0;
     std::vector<uint8_t> buffer(1 << 22);
     // Untimed warm-up pass; see HostWallDeserialize.
     for (const auto &m : workload.messages)
-        (void)EngineSerializeTo(engine, m, buffer.data(), buffer.size());
+        (void)codec.serialize_to(m, buffer.data(), buffer.size(), nullptr);
     const auto start = std::chrono::steady_clock::now();
     for (int r = 0; r < repeats; ++r) {
         for (const auto &m : workload.messages) {
-            const size_t n = EngineSerializeTo(engine, m, buffer.data(),
-                                               buffer.size());
+            const size_t n = codec.serialize_to(m, buffer.data(),
+                                                buffer.size(), nullptr);
             PA_CHECK(n > 0 || proto::ByteSize(m) == 0);
             bytes += static_cast<double>(n);
         }

@@ -16,9 +16,9 @@
 
 #include "accel/accelerator.h"
 #include "cpu/cpu_model.h"
-#include "proto/codec_generated.h"
 #include "proto/parser.h"
 #include "proto/serializer.h"
+#include "proto/software_codec.h"
 
 namespace protoacc::harness {
 

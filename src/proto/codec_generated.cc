@@ -56,20 +56,6 @@ struct Fnv1a
 
 }  // namespace
 
-const char *
-SoftwareCodecEngineName(SoftwareCodecEngine engine)
-{
-    switch (engine) {
-      case SoftwareCodecEngine::kReference:
-        return "reference";
-      case SoftwareCodecEngine::kTable:
-        return "table";
-      case SoftwareCodecEngine::kGenerated:
-        return "generated";
-    }
-    return "unknown";
-}
-
 uint64_t
 SchemaFingerprint(const DescriptorPool &pool)
 {

@@ -36,16 +36,6 @@ class Message;
 class CostSink;
 class DescriptorPool;
 
-/// Selector for the three peer software codec engines.
-enum class SoftwareCodecEngine : uint8_t {
-    kReference = 0,  ///< seed interpreter (tree walk over descriptors)
-    kTable = 1,      ///< flat-program interpreter (PR 1)
-    kGenerated = 2,  ///< schema-specialized emitted C++ (this tier)
-};
-
-/// Short human name: "reference", "table", "generated".
-const char *SoftwareCodecEngineName(SoftwareCodecEngine engine);
-
 /**
  * One pool's worth of generated entry points. Instances live in
  * emitted translation units with static storage duration; the registry

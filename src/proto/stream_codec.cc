@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "proto/codec_reference.h"
 #include "proto/serializer.h"
 #include "proto/utf8.h"
 #include "proto/wire_format.h"
@@ -12,18 +11,6 @@
 namespace protoacc::proto {
 
 namespace {
-
-/// Effective engine for streaming record parses: the generated tier
-/// only emits codecs for whole top-level schemas and is cost-identical
-/// to the table engine by construction (PR 7's parity contract), so
-/// streaming maps it to the table path.
-SoftwareCodecEngine
-EffectiveEngine(SoftwareCodecEngine engine)
-{
-    return engine == SoftwareCodecEngine::kGenerated
-               ? SoftwareCodecEngine::kTable
-               : engine;
-}
 
 /// Wire varint -> in-memory bit pattern for @p type (the FieldType form
 /// of parser.cc's VarintMemoryValue: uint32 truncation, zig-zag, bool
@@ -51,13 +38,13 @@ VarintBits(FieldType type, uint64_t wire)
 }  // namespace
 
 StreamDecoder::StreamDecoder(const DescriptorPool &pool, int type,
-                             SoftwareCodecEngine engine,
+                             const SoftwareCodec &codec,
                              const StreamCodecLimits &stream_limits,
                              const ParseLimits &limits, StreamSink *sink,
                              CostSink *cost_sink)
     : pool_(pool),
       type_(pool.message(type)),
-      engine_(EffectiveEngine(engine)),
+      codec_(codec),
       stream_limits_(stream_limits),
       record_limits_(limits),
       max_total_bytes_(limits.max_payload_bytes),
@@ -243,13 +230,8 @@ StreamDecoder::ConsumeOneField(const uint8_t *p, const uint8_t *end)
                 scratch_.Reset();
                 Message record = Message::Create(&scratch_, pool_,
                                                  field->message_type);
-                const ParseStatus s =
-                    engine_ == SoftwareCodecEngine::kReference
-                        ? ReferenceParseFromBuffer(payload, len, &record,
-                                                   cost_sink_,
-                                                   &record_limits_)
-                        : ParseFromBuffer(payload, len, &record,
-                                          cost_sink_, &record_limits_);
+                const ParseStatus s = codec_.parse(
+                    payload, len, &record, cost_sink_, &record_limits_);
                 if (s != ParseStatus::kOk) {
                     status_ = s;
                     return SIZE_MAX;
@@ -295,10 +277,10 @@ StreamDecoder::ConsumeOneField(const uint8_t *p, const uint8_t *end)
     }
 }
 
-StreamEncoder::StreamEncoder(SoftwareCodecEngine engine,
+StreamEncoder::StreamEncoder(const SoftwareCodec &codec,
                              const StreamCodecLimits &stream_limits,
                              CostSink *cost_sink)
-    : engine_(EffectiveEngine(engine)),
+    : codec_(codec),
       stream_limits_(stream_limits),
       cost_sink_(cost_sink)
 {
@@ -381,10 +363,7 @@ StreamEncoder::AppendRecord(const FieldDescriptor &field,
 {
     if (field.type != FieldType::kMessage)
         return ParseStatus::kInvalidWireType;
-    const size_t size =
-        engine_ == SoftwareCodecEngine::kReference
-            ? ReferenceByteSize(record, cost_sink_)
-            : ByteSize(record, cost_sink_);
+    const size_t size = codec_.byte_size(record, cost_sink_);
     if (size > stream_limits_.max_record_bytes)
         return ParseStatus::kResourceExhausted;
     StageTag(field, WireType::kLengthDelimited);
@@ -396,12 +375,8 @@ StreamEncoder::AppendRecord(const FieldDescriptor &field,
         cost_sink_->OnVarintEncode(n);
     const size_t at = staged_.size();
     staged_.resize(at + size);
-    const size_t written =
-        engine_ == SoftwareCodecEngine::kReference
-            ? ReferenceSerializeToBuffer(record, staged_.data() + at,
-                                         size, cost_sink_)
-            : SerializeToBuffer(record, staged_.data() + at, size,
-                                cost_sink_);
+    const size_t written = codec_.serialize_to(
+        record, staged_.data() + at, size, cost_sink_);
     PA_CHECK_EQ(written, size);
     NoteStaged();
     return ParseStatus::kOk;

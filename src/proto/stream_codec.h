@@ -15,12 +15,12 @@
  *    arbitrary-sized Feed() chunks. Complete top-level fields are
  *    delivered to a StreamSink as they finish — scalar and string
  *    fields as decoded values, message-typed fields parsed with the
- *    configured software engine (reference or table, the same entry
- *    points the whole-buffer path uses, so verdicts and modeled costs
- *    match) into a per-record scratch arena that is Reset() after each
- *    delivery. Only the incomplete tail of the current field is
- *    retained across Feed() calls, so peak memory is bounded by
- *    max_record_bytes + the largest chunk ever fed, never by the
+ *    configured software engine (proto/software_codec.h — the same
+ *    entry points the whole-buffer path uses, so verdicts and modeled
+ *    costs match) into a per-record scratch arena that is Reset()
+ *    after each delivery. Only the incomplete tail of the current
+ *    field is retained across Feed() calls, so peak memory is bounded
+ *    by max_record_bytes + the largest chunk ever fed, never by the
  *    logical message size.
  *
  *  - StreamEncoder is the mirror: fields are appended one at a time
@@ -46,9 +46,9 @@
 
 #include "common/status.h"
 #include "proto/arena.h"
-#include "proto/codec_generated.h"
 #include "proto/message.h"
 #include "proto/parser.h"
+#include "proto/software_codec.h"
 
 namespace protoacc::proto {
 
@@ -118,10 +118,8 @@ class StreamDecoder
     /**
      * @param pool      compiled descriptor pool;
      * @param type      pool index of the logical message type;
-     * @param engine    software engine parsing message-typed fields
-     *                  (kGenerated degrades to kTable: cost parity is
-     *                  exact, and emitted codecs only cover whole
-     *                  top-level schemas);
+     * @param codec     software engine parsing message-typed fields,
+     *                  resolved for @p pool (see ResolveSoftwareCodec);
      * @param limits    per-record resource bounds (see ParseLimits);
      *                  max_depth/max_alloc_bytes apply to each record
      *                  parse; max_payload_bytes bounds the *total*
@@ -130,7 +128,7 @@ class StreamDecoder
      * @param cost_sink optional cycle accounting (not owned).
      */
     StreamDecoder(const DescriptorPool &pool, int type,
-                  SoftwareCodecEngine engine,
+                  const SoftwareCodec &codec,
                   const StreamCodecLimits &stream_limits,
                   const ParseLimits &limits, StreamSink *sink,
                   CostSink *cost_sink = nullptr);
@@ -173,7 +171,7 @@ class StreamDecoder
 
     const DescriptorPool &pool_;
     const MessageDescriptor &type_;
-    SoftwareCodecEngine engine_;
+    const SoftwareCodec &codec_;
     StreamCodecLimits stream_limits_;
     ParseLimits record_limits_;
     uint64_t max_total_bytes_ = 0;  ///< 0 = unbounded
@@ -199,7 +197,7 @@ class StreamDecoder
 class StreamEncoder
 {
   public:
-    StreamEncoder(SoftwareCodecEngine engine,
+    StreamEncoder(const SoftwareCodec &codec,
                   const StreamCodecLimits &stream_limits,
                   CostSink *cost_sink = nullptr);
 
@@ -212,7 +210,7 @@ class StreamEncoder
 
     /**
      * Append one message-typed field occurrence: @p record is
-     * serialized with the encoder's engine (identical bytes and cost
+     * serialized with the encoder's codec (identical bytes and cost
      * events to the whole-buffer serializer's nested-message path).
      * Fails with kResourceExhausted when the encoded record exceeds
      * max_record_bytes.
@@ -235,7 +233,7 @@ class StreamEncoder
     void StageTag(const FieldDescriptor &field, WireType wt);
     void NoteStaged();
 
-    SoftwareCodecEngine engine_;
+    const SoftwareCodec &codec_;
     StreamCodecLimits stream_limits_;
     CostSink *cost_sink_;
     std::vector<uint8_t> staged_;

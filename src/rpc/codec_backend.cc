@@ -1,11 +1,13 @@
 #include "rpc/codec_backend.h"
 
+#include <algorithm>
+
 namespace protoacc::rpc {
 
 AcceleratedBackend::AcceleratedBackend(const proto::DescriptorPool &pool,
                                        const accel::AccelConfig &config)
-    : pool_(pool),
-      config_(config),
+    : CodecBackend(this),
+      pool_(pool),
       memory_(sim::MemorySystemConfig{}),
       device_(&memory_, config),
       adts_(pool, &adt_arena_),
@@ -15,8 +17,9 @@ AcceleratedBackend::AcceleratedBackend(const proto::DescriptorPool &pool,
     device_.SerAssignArena(&ser_arena_);
 }
 
-const accel::SerArena::Output *
-AcceleratedBackend::RunSerialize(const proto::Message &msg)
+size_t
+AcceleratedBackend::SerializeTo(const proto::Message &msg, uint8_t *buf,
+                                size_t cap)
 {
     if (ser_arena_.bytes_used() > ser_arena_.capacity() / 2) {
         // Applications recycle ser arenas between batches (§4.3); the
@@ -29,39 +32,22 @@ AcceleratedBackend::RunSerialize(const proto::Message &msg)
         adts_, msg.descriptor().pool_index(), pool_, msg.raw()));
     uint64_t cycles = 0;
     const accel::AccelStatus st = device_.BlockForSerCompletion(&cycles);
-    cycles_ += cycles;
     ser_cycles_ += cycles;
     last_status_ = accel::ToStatusCode(st);
     // A killed unit may retire the job without producing an output
     // region; a degraded device must not abort the process.
     if (st != accel::AccelStatus::kOk ||
-        ser_arena_.output_count() == outputs_before) {
-        return nullptr;
-    }
-    return &ser_arena_.output(ser_arena_.output_count() - 1);
-}
-
-std::vector<uint8_t>
-AcceleratedBackend::Serialize(const proto::Message &msg)
-{
-    const auto *out = RunSerialize(msg);
-    if (out == nullptr)
-        return {};
-    return std::vector<uint8_t>(out->data, out->data + out->size);
-}
-
-size_t
-AcceleratedBackend::SerializeTo(const proto::Message &msg, uint8_t *buf,
-                                size_t cap)
-{
+        ser_arena_.output_count() == outputs_before)
+        return 0;
     // The device writes into its assigned ser arena (§4.3); the single
     // copy out of it stands in for the transport's DMA read of the
     // completed output region.
-    const auto *out = RunSerialize(msg);
-    if (out == nullptr || out->size > cap)
+    const accel::SerArena::Output &out =
+        ser_arena_.output(ser_arena_.output_count() - 1);
+    if (out.size > cap)
         return 0;
-    std::memcpy(buf, out->data, out->size);
-    return out->size;
+    std::copy_n(out.data, out.size, buf);
+    return out.size;
 }
 
 StatusCode
@@ -75,27 +61,9 @@ AcceleratedBackend::Deserialize(const uint8_t *data, size_t size,
     uint64_t cycles = 0;
     const accel::AccelStatus st =
         device_.BlockForDeserCompletion(&cycles);
-    cycles_ += cycles;
     deser_cycles_ += cycles;
     last_status_ = accel::ToStatusCode(st);
     return last_status_;
-}
-
-std::vector<uint8_t>
-HybridCodecBackend::Serialize(const proto::Message &msg)
-{
-    if (!force_software_) {
-        std::vector<uint8_t> out = accel_->Serialize(msg);
-        if (StatusOk(accel_->last_status())) {
-            last_status_ = StatusCode::kOk;
-            return out;
-        }
-        ++fallbacks_.accel_fault;
-    } else {
-        ++fallbacks_.forced;
-    }
-    last_status_ = StatusCode::kOk;
-    return software_->Serialize(msg);
 }
 
 size_t
@@ -129,7 +97,7 @@ HybridCodecBackend::Deserialize(const uint8_t *data, size_t size,
             return st;
         }
         // The unit died mid-job with the destination untouched: re-run
-        // the parse on the software table codec.
+        // the parse on the software codec.
         ++fallbacks_.accel_fault;
     } else {
         ++fallbacks_.forced;

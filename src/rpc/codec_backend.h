@@ -11,50 +11,67 @@
 #ifndef PROTOACC_RPC_CODEC_BACKEND_H
 #define PROTOACC_RPC_CODEC_BACKEND_H
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "accel/accelerator.h"
-#include "common/check.h"
 #include "cpu/cpu_model.h"
-#include "proto/codec_generated.h"
-#include "proto/codec_reference.h"
-#include "proto/codec_table.h"
-#include "proto/parser.h"
 #include "proto/serializer.h"
+#include "proto/software_codec.h"
 #include "proto/stream_codec.h"
 
 namespace protoacc::rpc {
 
-/// Why a hybrid engine routed operations to the software codec.
+class AcceleratedBackend;
+
+/// Ops a backend ran on a slower engine than the one it was built
+/// for, by cause. Every silent downgrade is counted here.
 struct FallbackCounters
 {
-    /// Device op failed (e.g. an injected unit kill) and was re-run in
-    /// software.
+    /// Hybrid: a device op failed (e.g. an injected unit kill) and was
+    /// re-run in software.
     uint64_t accel_fault = 0;
-    /// Saturation-driven degraded mode: ops executed in software
-    /// because the accelerator path was forced off.
+    /// Hybrid: saturation-driven degraded mode — ops executed in
+    /// software because the accelerator path was forced off.
     uint64_t forced = 0;
+    /// Generated engine: ops run on the table engine because no
+    /// emitted codec matched the pool's fingerprint (a schema drifted
+    /// from its build-time recipe). Looks like correct behavior, costs
+    /// host wall-clock.
+    uint64_t generated = 0;
 };
 
 /**
- * Abstract serialization engine with cycle accounting.
+ * Abstract serialization engine with cycle accounting. The seam has
+ * three groups:
+ *
+ *  - codec calls: Deserialize, SerializedSize, SerializeTo (Serialize
+ *    is their composition), parse limits, last_status and
+ *    CreateStreamDecoder;
+ *  - accounting: codec_cycles, freq_ghz, host_cost_sink, name and
+ *    fallback_counters;
+ *  - the device facet: accel_engine(), the accelerator behind the
+ *    backend (nullptr for software backends), through which the
+ *    runtime reads device state and runs scrubs and self-tests, and
+ *    SetForceSoftware.
  */
 class CodecBackend
 {
   public:
     virtual ~CodecBackend() = default;
 
-    /// Serialize @p msg; returns the wire bytes.
-    virtual std::vector<uint8_t> Serialize(const proto::Message &msg) = 0;
+    // ---- codec calls ----
+
+    /// Parse @p size bytes at @p data into @p msg. Returns the specific
+    /// failure class (common/status.h); StatusCode::kOk on success.
+    virtual StatusCode Deserialize(const uint8_t *data, size_t size,
+                                   proto::Message *msg) = 0;
 
     /**
      * Encoded size of @p msg. Charges no modeled cycles: SerializeTo
-     * re-runs (and prices) the sizing pass itself, so a caller doing
-     * SerializedSize + SerializeTo is charged exactly what Serialize
-     * would have been.
+     * re-runs (and prices) the sizing pass itself, so SerializedSize +
+     * SerializeTo is charged exactly what SerializeTo alone is.
      */
     virtual size_t
     SerializedSize(const proto::Message &msg)
@@ -65,23 +82,21 @@ class CodecBackend
     /**
      * Serialize @p msg directly into [buf, buf+cap) — the zero-copy
      * response path. Returns bytes written, or 0 when @p cap is
-     * insufficient. The base implementation falls back to the copying
-     * Serialize().
+     * insufficient or the engine failed (see last_status()).
      */
-    virtual size_t
-    SerializeTo(const proto::Message &msg, uint8_t *buf, size_t cap)
-    {
-        const std::vector<uint8_t> out = Serialize(msg);
-        if (out.size() > cap)
-            return 0;
-        std::memcpy(buf, out.data(), out.size());
-        return out.size();
-    }
+    virtual size_t SerializeTo(const proto::Message &msg, uint8_t *buf,
+                               size_t cap) = 0;
 
-    /// Parse @p size bytes at @p data into @p msg. Returns the specific
-    /// failure class (common/status.h); StatusCode::kOk on success.
-    virtual StatusCode Deserialize(const uint8_t *data, size_t size,
-                                   proto::Message *msg) = 0;
+    /// Serialize @p msg into a fresh buffer: SerializedSize +
+    /// SerializeTo, so it costs exactly what they cost. Empty when the
+    /// engine failed.
+    std::vector<uint8_t>
+    Serialize(const proto::Message &msg)
+    {
+        std::vector<uint8_t> out(SerializedSize(msg));
+        out.resize(SerializeTo(msg, out.data(), out.size()));
+        return out;
+    }
 
     /// Hostile-input resource bounds applied to every Deserialize.
     /// Zero-valued fields mean unlimited / codec default.
@@ -97,71 +112,7 @@ class CodecBackend
      * accelerator's serialize path reports 0 bytes and records the
      * cause here); kOk for engines that cannot fail that way.
      */
-    virtual StatusCode last_status() const { return StatusCode::kOk; }
-
-    /// Modeled cycles spent in serialization/deserialization so far.
-    virtual double codec_cycles() const = 0;
-
-    /// Portion of codec_cycles() spent on an accelerator device (same
-    /// clock domain as codec_cycles). Software-only backends return 0;
-    /// the serving runtime uses the split to charge fallback work to
-    /// the worker core instead of the shared accelerator timeline.
-    virtual double accel_cycles() const { return 0; }
-
-    /// Device jobs issued so far (doorbell occupancy for the shared
-    /// accelerator queue replay). Software-only backends return 0.
-    virtual uint64_t accel_jobs() const { return 0; }
-
-    /// accel_cycles() split by unit: the deserializer-side and
-    /// serializer-side totals. The offloaded datapath pipelines the
-    /// two FSUs across a batch's calls, so its queueing model needs
-    /// the per-stage totals, not just the sum. Zero for software-only
-    /// backends; deser + ser == accel_cycles() for device backends.
-    virtual double accel_deser_cycles() const { return 0; }
-    virtual double accel_ser_cycles() const { return 0; }
-
-    /// Degraded mode: route every op to software (saturation shedding
-    /// of the accelerator path). No-op for non-hybrid backends.
-    virtual void SetForceSoftware(bool /*force*/) {}
-
-    /// Fallback accounting for hybrid engines; zeros otherwise.
-    virtual FallbackCounters fallback_counters() const { return {}; }
-
-    /// Ops a generated-engine backend executed on the table engine
-    /// because no emitted codec matched the pool's fingerprint (a
-    /// schema drifted from its build-time recipe). A silent tier
-    /// downgrade is a perf regression that looks like correct
-    /// behavior, so it must be countable. Zero for other engines.
-    virtual uint64_t generated_fallbacks() const { return 0; }
-
-    /// Device watchdog activity (unit resets, replayed jobs); zeros for
-    /// software-only backends.
-    virtual accel::WatchdogStats watchdog_stats() const { return {}; }
-
-    /**
-     * The engine that talks to an accelerator device, for health-domain
-     * maintenance (self-test vectors must run on the device itself, not
-     * through a hybrid's fallback logic). The accelerated backend
-     * returns itself, the hybrid returns its accelerated half, and
-     * software-only backends return nullptr (nothing to health-manage).
-     */
-    virtual CodecBackend *accel_engine() { return nullptr; }
-
-    /// Device configuration behind this engine (nullptr for
-    /// software-only backends) — sizes the modeled state scrub.
-    virtual const accel::AccelConfig *accel_config() const
-    {
-        return nullptr;
-    }
-
-    /**
-     * Health-domain state scrub of the underlying device: drop queued
-     * jobs and clear all cross-request unit state (ADT response
-     * buffers, pipeline context). No-op for software-only backends. The
-     * modeled cycle cost is charged by the health subsystem
-     * (rpc/health.h ComputeScrubCost), not here.
-     */
-    virtual void ScrubDeviceState() {}
+    StatusCode last_status() const { return last_status_; }
 
     /**
      * Open an incremental decoder over this backend's software engine
@@ -187,13 +138,10 @@ class CodecBackend
         return nullptr;
     }
 
-    /// Mirror of CreateStreamDecoder for the encode direction: append
-    /// fields/records, drain wire bytes in caller-sized chunks.
-    virtual std::unique_ptr<proto::StreamEncoder>
-    CreateStreamEncoder(const proto::StreamCodecLimits & /*limits*/)
-    {
-        return nullptr;
-    }
+    // ---- accounting ----
+
+    /// Modeled cycles spent in serialization/deserialization so far.
+    virtual double codec_cycles() const = 0;
 
     /// Clock for converting cycles to time.
     virtual double freq_ghz() const = 0;
@@ -211,130 +159,92 @@ class CodecBackend
 
     virtual const char *name() const = 0;
 
+    /// Downgraded ops by cause; zeros for backends that never degrade.
+    virtual FallbackCounters fallback_counters() const { return {}; }
+
+    /// Portion of codec_cycles() spent on the accelerator device (same
+    /// clock domain), and its deserializer/serializer split; zeros
+    /// without a device. The serving runtime charges the rest to the
+    /// worker core instead of the shared accelerator timeline.
+    double accel_cycles() const;
+    double accel_deser_cycles() const;
+    double accel_ser_cycles() const;
+
+    // ---- device facet ----
+
+    /**
+     * The accelerator behind this backend: the accelerated backend
+     * itself, the device half of a hybrid, nullptr for software-only
+     * backends (nothing to health-manage). Device maintenance — state
+     * scrubs, golden-vector self-tests, watchdog and job counters —
+     * goes through it, never through a hybrid's fallback logic.
+     */
+    AcceleratedBackend *accel_engine() const { return accel_engine_; }
+
+    /// Degraded mode: route every op to software (saturation shedding
+    /// of the accelerator path). No-op for non-hybrid backends.
+    virtual void SetForceSoftware(bool /*force*/) {}
+
   protected:
+    explicit CodecBackend(AcceleratedBackend *accel_engine = nullptr)
+        : accel_engine_(accel_engine)
+    {}
+
     ParseLimits limits_;
+    StatusCode last_status_ = StatusCode::kOk;
+
+  private:
+    AcceleratedBackend *accel_engine_ = nullptr;
 };
 
 /**
  * Software codec on a CPU cost model.
  *
- * Runs the table-driven fast path (proto/codec_table.h): the first
- * Serialize/Deserialize against a pool compiles that pool's codec
- * tables, which are cached on the pool and shared with every other user
- * (figure benches, codec_gbench, other backends on the same pool). The
- * pool-taking constructor pre-compiles them so the first RPC does not
- * pay the one-time cost — use it when a pool is shared across threads,
- * since lazy table construction is not thread-safe.
+ * The engine is resolved once, at construction, against the pool the
+ * backend serves (proto/software_codec.h): the pool's codec tables or
+ * generated codec are built up front, so the first RPC does not pay
+ * the one-time cost and the backend never touches lazily built pool
+ * state while serving. A generated engine with no emitted codec for the
+ * pool serves on the table engine instead, and counts every op through
+ * the miss (FallbackCounters::generated).
  */
 class SoftwareBackend : public CodecBackend
 {
   public:
-    explicit SoftwareBackend(const cpu::CpuParams &params,
-                             proto::SoftwareCodecEngine engine =
-                                 proto::SoftwareCodecEngine::kTable)
-        : model_(params), engine_(engine)
-    {
-        // The generated engine dispatches per-pool; without a pool we
-        // cannot verify a codec is linked in, so the first call's
-        // PA_CHECK inside the entry points is the guard.
-        name_ = model_.params().name + EngineSuffix(engine);
-    }
-
     SoftwareBackend(const cpu::CpuParams &params,
                     const proto::DescriptorPool &pool,
                     proto::SoftwareCodecEngine engine =
                         proto::SoftwareCodecEngine::kTable)
-        : model_(params), engine_(engine)
+        : model_(params),
+          codec_(proto::ResolveSoftwareCodec(engine, pool)),
+          downgraded_(codec_.engine != engine),
+          name_(model_.params().name +
+                proto::SoftwareCodecFor(engine).backend_suffix)
+    {}
+
+    StatusCode
+    Deserialize(const uint8_t *data, size_t size,
+                proto::Message *msg) override
     {
-        if (engine == proto::SoftwareCodecEngine::kTable) {
-            proto::GetCodecTables(pool);
-        } else if (engine == proto::SoftwareCodecEngine::kGenerated) {
-            // Resolve the generated codec (and warm the pool's cache)
-            // up front; when no emitted codec matches the fingerprint,
-            // the backend serves on the table engine instead — every
-            // op through the miss is counted (generated_fallbacks) so
-            // the tier downgrade is observable, not silent.
-            if (proto::GetGeneratedCodec(pool) == nullptr)
-                proto::GetCodecTables(pool);
-        }
-        name_ = model_.params().name + EngineSuffix(engine);
+        if (downgraded_)
+            ++fallbacks_.generated;
+        return proto::ToStatusCode(
+            codec_.parse(data, size, msg, &model_, &limits_));
     }
 
-    std::vector<uint8_t>
-    Serialize(const proto::Message &msg) override
+    size_t
+    SerializedSize(const proto::Message &msg) override
     {
-        switch (engine_) {
-        case proto::SoftwareCodecEngine::kReference:
-            return proto::ReferenceSerialize(msg, &model_);
-        case proto::SoftwareCodecEngine::kGenerated:
-            if (UseGenerated(msg))
-                return proto::GeneratedSerialize(msg, &model_);
-            break;
-        case proto::SoftwareCodecEngine::kTable:
-            break;
-        }
-        return proto::Serialize(msg, &model_);
+        return codec_.byte_size(msg, nullptr);
     }
 
     size_t
     SerializeTo(const proto::Message &msg, uint8_t *buf,
                 size_t cap) override
     {
-        switch (engine_) {
-        case proto::SoftwareCodecEngine::kReference:
-            return proto::ReferenceSerializeToBuffer(msg, buf, cap,
-                                                     &model_);
-        case proto::SoftwareCodecEngine::kGenerated:
-            if (UseGenerated(msg))
-                return proto::GeneratedSerializeToBuffer(msg, buf, cap,
-                                                         &model_);
-            break;
-        case proto::SoftwareCodecEngine::kTable:
-            break;
-        }
-        return proto::SerializeToBuffer(msg, buf, cap, &model_);
-    }
-
-    size_t
-    SerializedSize(const proto::Message &msg) override
-    {
-        switch (engine_) {
-        case proto::SoftwareCodecEngine::kReference:
-            return proto::ReferenceByteSize(msg, nullptr);
-        case proto::SoftwareCodecEngine::kGenerated:
-            if (UseGenerated(msg))
-                return proto::GeneratedByteSize(msg, nullptr);
-            break;
-        case proto::SoftwareCodecEngine::kTable:
-            break;
-        }
-        return proto::ByteSize(msg, nullptr);
-    }
-
-    StatusCode
-    Deserialize(const uint8_t *data, size_t size,
-                proto::Message *msg) override
-    {
-        switch (engine_) {
-        case proto::SoftwareCodecEngine::kReference:
-            return proto::ToStatusCode(proto::ReferenceParseFromBuffer(
-                data, size, msg, &model_, &limits_));
-        case proto::SoftwareCodecEngine::kGenerated:
-            if (UseGenerated(*msg))
-                return proto::ToStatusCode(
-                    proto::GeneratedParseFromBuffer(data, size, msg,
-                                                    &model_, &limits_));
-            break;
-        case proto::SoftwareCodecEngine::kTable:
-            break;
-        }
-        return proto::ToStatusCode(
-            proto::ParseFromBuffer(data, size, msg, &model_, &limits_));
-    }
-
-    uint64_t generated_fallbacks() const override
-    {
-        return generated_fallbacks_;
+        if (downgraded_)
+            ++fallbacks_.generated;
+        return codec_.serialize_to(msg, buf, cap, &model_);
     }
 
     std::unique_ptr<proto::StreamDecoder>
@@ -343,14 +253,7 @@ class SoftwareBackend : public CodecBackend
                         proto::StreamSink *sink) override
     {
         return std::make_unique<proto::StreamDecoder>(
-            pool, type, engine_, limits, limits_, sink, &model_);
-    }
-
-    std::unique_ptr<proto::StreamEncoder>
-    CreateStreamEncoder(const proto::StreamCodecLimits &limits) override
-    {
-        return std::make_unique<proto::StreamEncoder>(engine_, limits,
-                                                      &model_);
+            pool, type, codec_, limits, limits_, sink, &model_);
     }
 
     double codec_cycles() const override { return model_.cycles(); }
@@ -360,41 +263,19 @@ class SoftwareBackend : public CodecBackend
     }
     proto::CostSink *host_cost_sink() override { return &model_; }
     const char *name() const override { return name_.c_str(); }
-
-    proto::SoftwareCodecEngine engine() const { return engine_; }
+    FallbackCounters fallback_counters() const override
+    {
+        return fallbacks_;
+    }
 
   private:
-    static const char *
-    EngineSuffix(proto::SoftwareCodecEngine engine)
-    {
-        switch (engine) {
-        case proto::SoftwareCodecEngine::kReference:
-            return "+ref";
-        case proto::SoftwareCodecEngine::kGenerated:
-            return "+gen";
-        case proto::SoftwareCodecEngine::kTable:
-            break;
-        }
-        return "";
-    }
-
-    /// True when @p msg's pool has an emitted codec linked in;
-    /// otherwise counts the tier downgrade and the op runs on the
-    /// table engine (wire- and verdict-identical, just slower host
-    /// wall-clock).
-    bool
-    UseGenerated(const proto::Message &msg)
-    {
-        if (proto::GetGeneratedCodec(msg.pool()) != nullptr)
-            return true;
-        ++generated_fallbacks_;
-        return false;
-    }
-
     cpu::CpuCostModel model_;
-    proto::SoftwareCodecEngine engine_;
+    const proto::SoftwareCodec &codec_;
+    /// The generated engine was asked for but the pool has no emitted
+    /// codec: every op counts one generated fallback.
+    const bool downgraded_;
     std::string name_;
-    uint64_t generated_fallbacks_ = 0;
+    FallbackCounters fallbacks_;
 };
 
 /// The accelerator as a codec engine (one device per endpoint).
@@ -404,11 +285,10 @@ class AcceleratedBackend : public CodecBackend
     AcceleratedBackend(const proto::DescriptorPool &pool,
                        const accel::AccelConfig &config = {});
 
-    std::vector<uint8_t> Serialize(const proto::Message &msg) override;
-    size_t SerializeTo(const proto::Message &msg, uint8_t *buf,
-                       size_t cap) override;
     StatusCode Deserialize(const uint8_t *data, size_t size,
                            proto::Message *msg) override;
+    size_t SerializeTo(const proto::Message &msg, uint8_t *buf,
+                       size_t cap) override;
 
     void
     SetParseLimits(const ParseLimits &limits) override
@@ -417,6 +297,38 @@ class AcceleratedBackend : public CodecBackend
         device_.deserializer().SetLimits(limits);
     }
 
+    double codec_cycles() const override
+    {
+        return static_cast<double>(deser_cycles_ + ser_cycles_);
+    }
+    double freq_ghz() const override { return device_.config().freq_ghz; }
+    const char *name() const override { return "riscv-boom-accel"; }
+
+    // ---- the device, reached through CodecBackend::accel_engine() ----
+
+    /// Device jobs issued so far (doorbell occupancy for the shared
+    /// accelerator queue replay).
+    uint64_t jobs() const { return jobs_; }
+    /// Deserializer- and serializer-unit cycles so far; the offloaded
+    /// datapath pipelines the two units across a batch's calls, so its
+    /// queueing model needs the per-stage totals, not just the sum.
+    uint64_t deser_cycles() const { return deser_cycles_; }
+    uint64_t ser_cycles() const { return ser_cycles_; }
+    /// Device configuration — sizes the modeled state scrub.
+    const accel::AccelConfig &config() const { return device_.config(); }
+    /// Device watchdog activity (unit resets, replayed jobs).
+    accel::WatchdogStats watchdog_stats() const
+    {
+        return device_.watchdog_stats();
+    }
+    /**
+     * Health-domain state scrub: drop queued jobs and clear all
+     * cross-request unit state (ADT response buffers, pipeline
+     * context). The modeled cycle cost is charged by the health
+     * subsystem (rpc/health.h ComputeScrubCost), not here.
+     */
+    void ScrubDeviceState() { device_.ScrubUnits(); }
+
     /// Attach a fault injector to the underlying device (nullptr
     /// detaches); injected unit kills surface as kAccelFault.
     void SetFaultInjector(sim::FaultInjector *injector)
@@ -424,67 +336,24 @@ class AcceleratedBackend : public CodecBackend
         device_.SetFaultInjector(injector);
     }
 
-    /// Status of the most recent device operation (serialize or
-    /// deserialize); kOk when it completed. Serialize paths return an
-    /// empty buffer / 0 bytes on failure instead of aborting.
-    StatusCode last_status() const override { return last_status_; }
-
-    double codec_cycles() const override
-    {
-        return static_cast<double>(cycles_);
-    }
-    double accel_cycles() const override
-    {
-        return static_cast<double>(cycles_);
-    }
-    uint64_t accel_jobs() const override { return jobs_; }
-    double accel_deser_cycles() const override
-    {
-        return static_cast<double>(deser_cycles_);
-    }
-    double accel_ser_cycles() const override
-    {
-        return static_cast<double>(ser_cycles_);
-    }
-    double freq_ghz() const override { return config_.freq_ghz; }
-    accel::WatchdogStats watchdog_stats() const override
-    {
-        return device_.watchdog_stats();
-    }
-    const char *name() const override { return "riscv-boom-accel"; }
-
-    CodecBackend *accel_engine() override { return this; }
-    const accel::AccelConfig *accel_config() const override
-    {
-        return &config_;
-    }
-    void ScrubDeviceState() override { device_.ScrubUnits(); }
-
     accel::ProtoAccelerator &device() { return device_; }
 
   private:
-    /// Run one device serialization; output stays in the ser arena.
-    /// Returns nullptr (and sets last_status) when the device faulted.
-    const accel::SerArena::Output *RunSerialize(const proto::Message &msg);
-
     const proto::DescriptorPool &pool_;
-    accel::AccelConfig config_;
     sim::MemorySystem memory_;
     accel::ProtoAccelerator device_;
     proto::Arena adt_arena_;
     accel::AdtBuilder adts_;
     proto::Arena deser_arena_;
     accel::SerArena ser_arena_;
-    uint64_t cycles_ = 0;
     uint64_t deser_cycles_ = 0;
     uint64_t ser_cycles_ = 0;
     uint64_t jobs_ = 0;
-    StatusCode last_status_ = StatusCode::kOk;
 };
 
 /**
  * Degradation-aware engine: the accelerator is primary, the software
- * table codec is the fallback. An op falls back when the device faults
+ * codec is the fallback. An op falls back when the device faults
  * mid-op (injected unit kill — the op is transparently re-run in
  * software) or when the accelerator path is forced off (saturation
  * shedding via SetForceSoftware). Deterministic parse rejections do NOT
@@ -501,14 +370,15 @@ class HybridCodecBackend : public CodecBackend
   public:
     HybridCodecBackend(std::unique_ptr<AcceleratedBackend> accel,
                        std::unique_ptr<SoftwareBackend> software)
-        : accel_(std::move(accel)), software_(std::move(software))
+        : CodecBackend(accel.get()),
+          accel_(std::move(accel)),
+          software_(std::move(software))
     {}
 
-    std::vector<uint8_t> Serialize(const proto::Message &msg) override;
-    size_t SerializeTo(const proto::Message &msg, uint8_t *buf,
-                       size_t cap) override;
     StatusCode Deserialize(const uint8_t *data, size_t size,
                            proto::Message *msg) override;
+    size_t SerializeTo(const proto::Message &msg, uint8_t *buf,
+                       size_t cap) override;
 
     void
     SetParseLimits(const ParseLimits &limits) override
@@ -518,23 +388,15 @@ class HybridCodecBackend : public CodecBackend
         software_->SetParseLimits(limits);
     }
 
-    void SetForceSoftware(bool force) override
+    /// Streams run on the hybrid's software half (the device FSU has
+    /// no incremental mode), the same route forced fallback takes.
+    std::unique_ptr<proto::StreamDecoder>
+    CreateStreamDecoder(const proto::DescriptorPool &pool, int type,
+                        const proto::StreamCodecLimits &limits,
+                        proto::StreamSink *sink) override
     {
-        force_software_ = force;
+        return software_->CreateStreamDecoder(pool, type, limits, sink);
     }
-    bool force_software() const { return force_software_; }
-
-    FallbackCounters fallback_counters() const override
-    {
-        return fallbacks_;
-    }
-
-    uint64_t generated_fallbacks() const override
-    {
-        return software_->generated_fallbacks();
-    }
-
-    StatusCode last_status() const override { return last_status_; }
 
     /// Software cycles converted into the accelerator clock domain, so
     /// cycles / freq_ghz() is the modeled time of the mixed execution.
@@ -545,38 +407,7 @@ class HybridCodecBackend : public CodecBackend
                software_->codec_cycles() *
                    (accel_->freq_ghz() / software_->freq_ghz());
     }
-    double accel_cycles() const override
-    {
-        return accel_->accel_cycles();
-    }
-    uint64_t accel_jobs() const override { return accel_->accel_jobs(); }
-    double accel_deser_cycles() const override
-    {
-        return accel_->accel_deser_cycles();
-    }
-    double accel_ser_cycles() const override
-    {
-        return accel_->accel_ser_cycles();
-    }
     double freq_ghz() const override { return accel_->freq_ghz(); }
-    accel::WatchdogStats watchdog_stats() const override
-    {
-        return accel_->watchdog_stats();
-    }
-    /// Streams run on the hybrid's software half (the device FSU has
-    /// no incremental mode), the same route forced fallback takes.
-    std::unique_ptr<proto::StreamDecoder>
-    CreateStreamDecoder(const proto::DescriptorPool &pool, int type,
-                        const proto::StreamCodecLimits &limits,
-                        proto::StreamSink *sink) override
-    {
-        return software_->CreateStreamDecoder(pool, type, limits, sink);
-    }
-    std::unique_ptr<proto::StreamEncoder>
-    CreateStreamEncoder(const proto::StreamCodecLimits &limits) override
-    {
-        return software_->CreateStreamEncoder(limits);
-    }
 
     /// Frame CRCs on the hybrid run on the host core (the fallback's
     /// CPU model prices them); only codec ops ride the device.
@@ -586,23 +417,47 @@ class HybridCodecBackend : public CodecBackend
     }
     const char *name() const override { return "hybrid-accel-sw"; }
 
-    CodecBackend *accel_engine() override { return accel_.get(); }
-    const accel::AccelConfig *accel_config() const override
+    FallbackCounters
+    fallback_counters() const override
     {
-        return accel_->accel_config();
+        FallbackCounters counters = fallbacks_;
+        counters.generated = software_->fallback_counters().generated;
+        return counters;
     }
-    void ScrubDeviceState() override { accel_->ScrubDeviceState(); }
 
-    AcceleratedBackend &accel() { return *accel_; }
-    SoftwareBackend &software() { return *software_; }
+    void SetForceSoftware(bool force) override
+    {
+        force_software_ = force;
+    }
 
   private:
     std::unique_ptr<AcceleratedBackend> accel_;
     std::unique_ptr<SoftwareBackend> software_;
     FallbackCounters fallbacks_;
     bool force_software_ = false;
-    StatusCode last_status_ = StatusCode::kOk;
 };
+
+inline double
+CodecBackend::accel_cycles() const
+{
+    return accel_engine_ != nullptr ? accel_engine_->codec_cycles() : 0;
+}
+
+inline double
+CodecBackend::accel_deser_cycles() const
+{
+    return accel_engine_ != nullptr
+               ? static_cast<double>(accel_engine_->deser_cycles())
+               : 0;
+}
+
+inline double
+CodecBackend::accel_ser_cycles() const
+{
+    return accel_engine_ != nullptr
+               ? static_cast<double>(accel_engine_->ser_cycles())
+               : 0;
+}
 
 }  // namespace protoacc::rpc
 

@@ -214,11 +214,11 @@ SelfTester::SelfTester(const proto::DescriptorPool *pool, int msg_type)
 }
 
 bool
-SelfTester::Run(CodecBackend *engine, uint32_t vectors,
+SelfTester::Run(AcceleratedBackend *device, uint32_t vectors,
                 uint64_t *cycles) const
 {
-    PA_CHECK(engine != nullptr);
-    const double cycles_before = engine->codec_cycles();
+    PA_CHECK(device != nullptr);
+    const double cycles_before = device->codec_cycles();
     bool passed = true;
     for (uint32_t v = 0; v < vectors && passed; ++v) {
         // Deterministic golden vector: the seed depends only on the
@@ -236,8 +236,8 @@ SelfTester::Run(CodecBackend *engine, uint32_t vectors,
 
         // Serialize through the unit: must match the reference codec
         // byte for byte (a faulted or corrupting unit fails here).
-        const std::vector<uint8_t> got = engine->Serialize(golden);
-        if (!StatusOk(engine->last_status()) || got != expect) {
+        const std::vector<uint8_t> got = device->Serialize(golden);
+        if (!StatusOk(device->last_status()) || got != expect) {
             passed = false;
             break;
         }
@@ -248,13 +248,13 @@ SelfTester::Run(CodecBackend *engine, uint32_t vectors,
         proto::Message parsed =
             proto::Message::Create(&arena, *pool_, msg_type_);
         if (!StatusOk(
-                engine->Deserialize(expect.data(), expect.size(),
+                device->Deserialize(expect.data(), expect.size(),
                                     &parsed)) ||
             proto::Serialize(parsed, nullptr) != expect) {
             passed = false;
         }
     }
-    *cycles = static_cast<uint64_t>(engine->codec_cycles() -
+    *cycles = static_cast<uint64_t>(device->codec_cycles() -
                                     cycles_before);
     return passed;
 }

@@ -290,7 +290,7 @@ class DeviceHealth
     uint64_t probation_ops_done_ = 0;
 };
 
-class CodecBackend;
+class AcceleratedBackend;
 
 /**
  * Golden-vector self-test: deterministic request messages are
@@ -308,15 +308,15 @@ class SelfTester
     SelfTester(const proto::DescriptorPool *pool, int msg_type);
 
     /**
-     * Run @p vectors golden round trips through @p engine (the device
-     * path — for a hybrid backend pass its accelerator engine, so the
-     * test exercises the unit and not the software fallback).
+     * Run @p vectors golden round trips through @p device (for a
+     * hybrid backend its accel_engine(), so the test exercises the unit
+     * and not the software fallback).
      *
      * @param[out] cycles modeled device cycles the test consumed.
      * @return true when every vector serialized byte-identically to the
      *         reference codec and re-parsed to an equivalent message.
      */
-    bool Run(CodecBackend *engine, uint32_t vectors,
+    bool Run(AcceleratedBackend *device, uint32_t vectors,
              uint64_t *cycles) const;
 
   private:

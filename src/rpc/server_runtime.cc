@@ -54,8 +54,6 @@ RpcServerRuntime::RpcServerRuntime(const proto::DescriptorPool *pool,
             // Offload datapath: the frame engine fronts this worker's
             // shard, so egress framing/CRC/dedup work accrues device
             // cycles — the host cost sink sees none of it.
-            w.frame_engine =
-                accel::FrameEngine(config_.offload.frame_timing);
             w.replies.SetCostSink(&w.frame_engine);
         } else {
             // Response-frame CRCs are host-side work: price them on the
@@ -65,8 +63,6 @@ RpcServerRuntime::RpcServerRuntime(const proto::DescriptorPool *pool,
             w.replies.SetCostSink(
                 w.server.mutable_backend().host_cost_sink());
         }
-        w.est_call_ns.store(config_.est_call_ns,
-                            std::memory_order_relaxed);
     }
 }
 
@@ -423,19 +419,19 @@ RpcServerRuntime::Snapshot() const
             w->server.backend().fallback_counters();
         ws.fallback_accel_fault = fb.accel_fault;
         ws.fallback_forced = fb.forced;
-        ws.generated_fallbacks =
-            w->server.backend().generated_fallbacks();
+        ws.generated_fallbacks = fb.generated;
         ws.schema_rejects = w->server.schema_rejects();
-        const accel::WatchdogStats wd =
-            w->server.backend().watchdog_stats();
-        ws.watchdog_resets = wd.resets;
-        ws.watchdog_replayed_jobs = wd.replayed_jobs;
+        if (const AcceleratedBackend *device =
+                w->server.backend().accel_engine()) {
+            const accel::WatchdogStats wd = device->watchdog_stats();
+            ws.watchdog_resets = wd.resets;
+            ws.watchdog_replayed_jobs = wd.replayed_jobs;
+        }
         ws.device_health = w->health.snapshot();
         aggregate_health(ws.device_health);
         ws.vclock_ns = w->vclock_ns;
         ws.codec_cycles = w->server.backend().codec_cycles();
-        ws.accel_codec_cycles = w->server.backend().accel_deser_cycles() +
-                                w->server.backend().accel_ser_cycles();
+        ws.accel_codec_cycles = w->server.backend().accel_cycles();
         ws.arena_blocks = w->server.arena().block_count();
         ws.arena_bytes_reserved = w->server.arena().bytes_reserved();
         ws.reply_payload_copies = w->replies.payload_copies();
@@ -672,9 +668,7 @@ RpcServerRuntime::WorkerLoop(Worker *w)
         if (!batch.empty()) {
             const double batch_ns =
                 (w->server.backend().codec_cycles() - cycles_before) /
-                    w->server.backend().freq_ghz() +
-                config_.modeled_handler_ns *
-                    static_cast<double>(batch.size());
+                w->server.backend().freq_ghz();
             const double per_call =
                 batch_ns / static_cast<double>(batch.size());
             const double prev =
@@ -697,10 +691,8 @@ RpcServerRuntime::WorkerLoop(Worker *w)
 bool
 RpcServerRuntime::HealthPreBatch(Worker *w)
 {
-    if (!config_.health.enabled)
-        return true;
-    CodecBackend &backend = w->server.mutable_backend();
-    if (backend.accel_engine() == nullptr)
+    if (!config_.health.enabled ||
+        w->server.backend().accel_engine() == nullptr)
         return true;  // nothing to health-manage
     // Complete a finished maintenance window first, so a reintegrated
     // device serves this very batch. Until the worker's timeline
@@ -737,21 +729,17 @@ RpcServerRuntime::HealthPreBatch(Worker *w)
 void
 RpcServerRuntime::QuarantineWorkerDevice(Worker *w)
 {
-    CodecBackend &backend = w->server.mutable_backend();
-    CodecBackend *engine = backend.accel_engine();
-    PA_CHECK(engine != nullptr);
+    AcceleratedBackend *device = w->server.backend().accel_engine();
+    PA_CHECK(device != nullptr);
     w->health_fenced = true;
     w->health.BeginScrub();
     // Functional scrub: queued jobs are dropped and every piece of
     // cross-request unit state (ADT response buffers, pipeline
     // context) is cleared — request A's bytes cannot reach request B
     // through the device.
-    backend.ScrubDeviceState();
-    const accel::AccelConfig *accel_config = backend.accel_config();
+    device->ScrubDeviceState();
     w->maintenance_scrub =
-        accel_config != nullptr
-            ? ComputeScrubCost(*accel_config, config_.health)
-            : ComputeScrubCost(config_.health);
+        ComputeScrubCost(device->config(), config_.health);
     // The golden vectors run through the device engine now (the
     // functional verdict — a device that corrupts data or keeps
     // faulting fails), but the modeled time is charged as a fenced
@@ -761,12 +749,12 @@ RpcServerRuntime::QuarantineWorkerDevice(Worker *w)
     bool passed = false;
     if (self_tester_ != nullptr)
         passed = self_tester_->Run(
-            engine, config_.health.self_test_vectors, &test_cycles);
+            device, config_.health.self_test_vectors, &test_cycles);
     w->maintenance_test_passed = passed;
     w->maintenance_test_cycles = test_cycles;
     const double window_ns =
         static_cast<double>(w->maintenance_scrub.total() + test_cycles) /
-        engine->freq_ghz();
+        device->freq_ghz();
     w->maintenance_done_ns = w->vclock_ns + window_ns;
     w->maintenance_pending = true;
 }
@@ -774,12 +762,10 @@ RpcServerRuntime::QuarantineWorkerDevice(Worker *w)
 void
 RpcServerRuntime::HealthPostBatch(Worker *w, size_t executed)
 {
-    if (!config_.health.enabled)
+    const CodecBackend &backend = w->server.backend();
+    if (!config_.health.enabled || backend.accel_engine() == nullptr)
         return;
-    CodecBackend &backend = w->server.mutable_backend();
-    if (backend.accel_engine() == nullptr)
-        return;
-    const uint64_t wd = backend.watchdog_stats().resets;
+    const uint64_t wd = backend.accel_engine()->watchdog_stats().resets;
     const uint64_t faults = backend.fallback_counters().accel_fault;
     const uint64_t wd_delta = wd - w->wd_resets_seen;
     const uint64_t fault_delta = faults - w->accel_faults_seen;
@@ -797,6 +783,36 @@ RpcServerRuntime::HealthPostBatch(Worker *w, size_t executed)
             w->health.OnSuccess();
     if (quarantine && !w->health_fenced)
         QuarantineWorkerDevice(w);
+}
+
+bool
+RpcServerRuntime::ServeFrame(Worker *w, const OwnedFrame &f,
+                             proto::CostSink *ingress_sink,
+                             accel::FrameEngine *engine)
+{
+    if (ingress_sink != nullptr) {
+        ingress_sink->OnFrameHeader();
+        ingress_sink->OnCrc(FrameHeader::kCrcOffset +
+                            f.header.payload_bytes);
+    }
+    Frame frame;
+    frame.header = f.header;
+    frame.payload = f.payload.data();
+    const StatusCode st = w->server.HandleFrame(frame, &w->replies);
+    if (!StatusOk(st)) {
+        ++w->failures;
+        ++w->failures_by_code[static_cast<size_t>(st)];
+        if (engine != nullptr)
+            engine->ChargeErrorFrame();
+    }
+    ++w->calls;
+    if (tenants_ != nullptr)
+        tenants_->OnWorkerFinished(f.header.tenant_id);
+    // The crash point is call-count based (deterministic): the call
+    // that just completed committed its reply; everything after it in
+    // the batch is stranded.
+    return config_.fault_injector != nullptr &&
+           config_.fault_injector->ShouldKillWorker(w->index, w->calls);
 }
 
 size_t
@@ -843,44 +859,25 @@ RpcServerRuntime::ProcessBatch(Worker *w,
         // Each worker is one core running the codec itself: a call's
         // modeled latency is its own service time; calls on one worker
         // run back-to-back on its timeline.
-        for (OwnedFrame &f : *batch) {
-            Frame frame;
-            frame.header = f.header;
-            frame.payload = f.payload.data();
+        for (const OwnedFrame &f : *batch) {
             const double before = backend.codec_cycles();
             const double engine_before =
                 engine != nullptr ? engine->cycles() : 0;
-            if (ingress_sink != nullptr) {
-                ingress_sink->OnFrameHeader();
-                ingress_sink->OnCrc(FrameHeader::kCrcOffset +
-                                    f.header.payload_bytes);
-            }
-            const StatusCode st =
-                w->server.HandleFrame(frame, &w->replies);
-            if (!StatusOk(st)) {
-                ++w->failures;
-                ++w->failures_by_code[static_cast<size_t>(st)];
-                if (engine != nullptr)
-                    engine->ChargeErrorFrame();
-            }
-            ++w->calls;
-            double service_ns =
+            *killed = ServeFrame(w, f, ingress_sink, engine);
+            double latency_ns =
                 (backend.codec_cycles() - before) / freq_ghz;
             // Frame-engine time shares the device clock domain; with a
             // private (non-shared) device the framing stage runs in
             // series with the codec on this worker's timeline.
             if (engine != nullptr)
-                service_ns +=
+                latency_ns +=
                     (engine->cycles() - engine_before) / freq_ghz;
-            const double latency_ns =
-                service_ns + config_.modeled_handler_ns;
             if (config_.deadline_ns > 0 &&
                 latency_ns > config_.deadline_ns)
                 ++w->deadline_exceeded;
             w->call_records.push_back(
                 CallRecord{f.header.tenant_id, latency_ns});
             if (tenants_ != nullptr) {
-                tenants_->OnWorkerFinished(f.header.tenant_id);
                 tenants_->OnCallLatency(f.header.tenant_id, latency_ns,
                                         config_.deadline_ns);
                 auto &acc = w->tenant_service[f.header.tenant_id];
@@ -889,15 +886,8 @@ RpcServerRuntime::ProcessBatch(Worker *w,
             }
             w->vclock_ns += latency_ns;
             ++executed;
-            // The crash point is call-count based (deterministic): the
-            // call that just completed committed its reply; everything
-            // after it in the batch is stranded.
-            if (config_.fault_injector != nullptr &&
-                config_.fault_injector->ShouldKillWorker(w->index,
-                                                         w->calls)) {
-                *killed = true;
+            if (*killed)
                 break;
-            }
         }
         HealthPostBatch(w, executed);
         return executed;
@@ -910,8 +900,9 @@ RpcServerRuntime::ProcessBatch(Worker *w,
     // core. Only the batch's measured service time is recorded here;
     // the shared timeline is replayed deterministically in Drain().
     // Work the backend routed to software (fault fallback or forced
-    // degraded mode) is split out via accel_cycles()/accel_jobs() and
-    // charged to the worker core, not the shared accelerator.
+    // degraded mode) is split out via the device's cycle and job
+    // counters and charged to the worker core, not the shared
+    // accelerator.
     //
     // With the tenant layer engaged, a mixed-tenant drain is first
     // reordered into per-tenant groups (stable within a group, groups
@@ -937,6 +928,10 @@ RpcServerRuntime::ProcessBatch(Worker *w,
             *batch = std::move(reordered);
         }
     }
+    const AcceleratedBackend *device = backend.accel_engine();
+    const auto device_jobs = [device]() -> uint64_t {
+        return device != nullptr ? device->jobs() : 0;
+    };
     size_t run_start = 0;
     while (run_start < batch->size() && !*killed) {
         size_t run_end = batch->size();
@@ -950,55 +945,31 @@ RpcServerRuntime::ProcessBatch(Worker *w,
         const uint16_t run_tenant =
             (*batch)[run_start].header.tenant_id;
         const double cycles_before = backend.codec_cycles();
-        const double accel_before = backend.accel_cycles();
         const double deser_before = backend.accel_deser_cycles();
         const double ser_before = backend.accel_ser_cycles();
         const double engine_before =
             engine != nullptr ? engine->cycles() : 0;
-        const uint64_t jobs_before = backend.accel_jobs();
+        const uint64_t jobs_before = device_jobs();
         uint64_t wire_bytes = 0;
         const size_t reply_bytes_before = w->replies.bytes();
-        uint64_t failures = 0;
         size_t run_executed = 0;
-        for (size_t i = run_start; i < run_end; ++i) {
-            OwnedFrame &f = (*batch)[i];
-            Frame frame;
-            frame.header = f.header;
-            frame.payload = f.payload.data();
-            if (ingress_sink != nullptr) {
-                ingress_sink->OnFrameHeader();
-                ingress_sink->OnCrc(FrameHeader::kCrcOffset +
-                                    f.header.payload_bytes);
-            }
+        for (size_t i = run_start; i < run_end && !*killed; ++i) {
+            const OwnedFrame &f = (*batch)[i];
             wire_bytes +=
                 FrameHeader::kWireBytes + f.header.payload_bytes;
-            const StatusCode st =
-                w->server.HandleFrame(frame, &w->replies);
-            if (!StatusOk(st)) {
-                ++failures;
-                ++w->failures_by_code[static_cast<size_t>(st)];
-                if (engine != nullptr)
-                    engine->ChargeErrorFrame();
-            }
-            ++w->calls;
+            *killed = ServeFrame(w, f, ingress_sink, engine);
             ++run_executed;
             ++executed;
-            if (tenants_ != nullptr)
-                tenants_->OnWorkerFinished(f.header.tenant_id);
-            if (config_.fault_injector != nullptr &&
-                config_.fault_injector->ShouldKillWorker(w->index,
-                                                         w->calls)) {
-                *killed = true;
-                break;  // crash mid-batch: record the partial run below
-            }
         }
         const double total_cycles =
             backend.codec_cycles() - cycles_before;
-        const double accel_cycles =
-            backend.accel_cycles() - accel_before;
+        const double deser_cycles =
+            backend.accel_deser_cycles() - deser_before;
+        const double ser_cycles = backend.accel_ser_cycles() - ser_before;
+        const double accel_cycles = deser_cycles + ser_cycles;
         AccelBatch record;
         record.jobs =
-            static_cast<uint32_t>(backend.accel_jobs() - jobs_before);
+            static_cast<uint32_t>(device_jobs() - jobs_before);
         record.service_cycles =
             static_cast<uint64_t>(std::llround(accel_cycles));
         record.sw_ns = (total_cycles - accel_cycles) / freq_ghz;
@@ -1008,10 +979,10 @@ RpcServerRuntime::ProcessBatch(Worker *w,
             // Offload descriptor for the pipelined replay: the
             // per-stage device split plus the batch's wire traffic
             // (requests in, replies out) for the PCIe DMA stage.
-            record.deser_cycles = static_cast<uint64_t>(std::llround(
-                backend.accel_deser_cycles() - deser_before));
-            record.ser_cycles = static_cast<uint64_t>(
-                std::llround(backend.accel_ser_cycles() - ser_before));
+            record.deser_cycles =
+                static_cast<uint64_t>(std::llround(deser_cycles));
+            record.ser_cycles =
+                static_cast<uint64_t>(std::llround(ser_cycles));
             record.frame_cycles = static_cast<uint64_t>(
                 std::llround(engine->cycles() - engine_before));
             record.wire_bytes =
@@ -1024,14 +995,10 @@ RpcServerRuntime::ProcessBatch(Worker *w,
                 // for the tenant's EWMA; queueing is added at replay
                 // and must not feed the estimate.
                 auto &acc = w->tenant_service[run_tenant];
-                acc.first +=
-                    total_cycles / freq_ghz +
-                    config_.modeled_handler_ns *
-                        static_cast<double>(run_executed);
+                acc.first += total_cycles / freq_ghz;
                 acc.second += run_executed;
             }
         }
-        w->failures += failures;
         run_start = run_end;
     }
     HealthPostBatch(w, executed);
@@ -1209,8 +1176,7 @@ RpcServerRuntime::ReplayAcceleratorTimeline()
             // the worker timeline directly (no shared unit involved).
             device_ns = static_cast<double>(b.frame_cycles) / freq_ghz;
         }
-        const double batch_ns = device_ns + b.sw_ns;
-        const double latency_ns = batch_ns + config_.modeled_handler_ns;
+        const double latency_ns = device_ns + b.sw_ns;
         if (tenants_ != nullptr && b.jobs > 0)
             tenants_->CreditAccelCycles(b.tenant, b.service_cycles);
         for (uint32_t i = 0; i < b.calls; ++i) {
@@ -1223,9 +1189,7 @@ RpcServerRuntime::ReplayAcceleratorTimeline()
                 tenants_->OnCallLatency(b.tenant, latency_ns,
                                         config_.deadline_ns);
         }
-        next->vclock_ns +=
-            batch_ns +
-            config_.modeled_handler_ns * static_cast<double>(b.calls);
+        next->vclock_ns += latency_ns;
     }
     for (auto &w : workers_) {
         w->accel_batches.clear();

@@ -64,8 +64,6 @@ namespace protoacc::rpc {
 struct OffloadConfig
 {
     bool enabled = false;
-    /// Frame-engine datapath rates (device clock domain).
-    accel::FrameEngineTiming frame_timing;
 };
 
 /// Runtime-wide configuration.
@@ -79,9 +77,6 @@ struct RuntimeConfig
     /// Shared accelerator contention model; nullptr = per-core codec
     /// (software backends, or one private accelerator per worker).
     accel::SharedAccelQueue *shared_accel = nullptr;
-    /// Modeled application time per call (handler logic on the core),
-    /// added to each call's latency and the worker's timeline.
-    double modeled_handler_ns = 0;
     /// Keep response frames in the per-worker reply streams. Disable
     /// for long throughput runs (replies are still fully serialized;
     /// the stream is just recycled between batches).
@@ -100,11 +95,9 @@ struct RuntimeConfig
 
     /// Admission control: Submit sheds (kOverloaded) when the target
     /// worker's modeled backlog wait — pending calls x the worker's
-    /// EWMA per-call service estimate — exceeds this, ns; 0 disables.
+    /// EWMA per-call service estimate (seeded at 2 us before any batch
+    /// completes) — exceeds this, ns; 0 disables.
     double admission_max_wait_ns = 0;
-
-    /// Seed of the per-call service EWMA before any batch completes.
-    double est_call_ns = 2000;
 
     /// Saturation fallback: when > 0 and a worker's residual inbox
     /// backlog (frames left after it drained a batch) exceeds this,
@@ -571,8 +564,9 @@ class RpcServerRuntime
         /// Requests shed by admission control (written under mu).
         uint64_t shed = 0;
         /// Per-call service estimate feeding admission control; EWMA
-        /// updated by the worker, read by submitters (hence atomic).
-        std::atomic<double> est_call_ns{0};
+        /// updated by the worker, read by submitters (hence atomic),
+        /// seeded at 2 us before the first batch completes.
+        std::atomic<double> est_call_ns{2000};
 
         RpcServer server;
         FrameBuffer replies;
@@ -644,6 +638,15 @@ class RpcServerRuntime
     void QuarantineWorkerDevice(Worker *w);
     /// Shared-queue unit health, driven by the quiescent replay loop.
     void ObserveSharedUnit(uint32_t unit, bool watchdog_fired);
+    /// One frame of a batch, the body both ProcessBatch loops share:
+    /// price its ingress framing on @p ingress_sink (nullptr: priced
+    /// where the frame was scanned), serve it, and count the call and
+    /// any failure (charging error frames to the offload @p engine).
+    /// @return true when an injected crash killed the worker right
+    /// after this call committed its reply.
+    bool ServeFrame(Worker *w, const OwnedFrame &f,
+                    proto::CostSink *ingress_sink,
+                    accel::FrameEngine *engine);
     /// @p backlog: frames left in the inbox after this batch was
     /// extracted (the saturation signal for degraded-mode serving).
     /// Sets @p killed when an injected crash killed the worker during

@@ -119,7 +119,8 @@ class StreamingCodecTest : public ::testing::Test
     {
         StreamCodecLimits limits;
         decoder_ = std::make_unique<StreamDecoder>(
-            pool_, feed_, engine, limits, ParseLimits{}, sink);
+            pool_, feed_, SoftwareCodecFor(engine), limits, ParseLimits{},
+            sink);
         for (size_t off = 0; off < wire.size(); off += chunk) {
             const size_t len = std::min(chunk, wire.size() - off);
             const ParseStatus st = decoder_->Feed(wire.data() + off,
@@ -130,6 +131,8 @@ class StreamingCodecTest : public ::testing::Test
         return decoder_->Finish();
     }
 
+    const SoftwareCodec &table_ =
+        SoftwareCodecFor(SoftwareCodecEngine::kTable);
     std::unique_ptr<StreamDecoder> decoder_;
     DescriptorPool pool_;
     int feed_ = -1;
@@ -173,7 +176,8 @@ TEST_F(StreamingCodecTest, EncoderMatchesWholeBufferSerialize)
     const auto &d = pool_.message(feed_);
     const auto &rd = pool_.message(rec_);
     StreamCodecLimits limits;
-    StreamEncoder enc(SoftwareCodecEngine::kReference, limits);
+    StreamEncoder enc(SoftwareCodecFor(SoftwareCodecEngine::kReference),
+                      limits);
     ASSERT_EQ(enc.AppendScalar(*d.FindFieldByName("seq"), 7),
               ParseStatus::kOk);
     ASSERT_EQ(enc.AppendString(*d.FindFieldByName("note"),
@@ -208,7 +212,7 @@ TEST_F(StreamingCodecTest, TruncatedStreamFailsFinish)
     const std::vector<uint8_t> wire = MakeWire(2);
     CollectSink sink;
     StreamCodecLimits limits;
-    StreamDecoder dec(pool_, feed_, SoftwareCodecEngine::kTable, limits,
+    StreamDecoder dec(pool_, feed_, table_, limits,
                       ParseLimits{}, &sink);
     // Everything but the last byte: the final field stays incomplete.
     ASSERT_EQ(dec.Feed(wire.data(), wire.size() - 1), ParseStatus::kOk);
@@ -224,7 +228,7 @@ TEST_F(StreamingCodecTest, OversizedRecordRejectedBeforeBuffering)
     CollectSink sink;
     StreamCodecLimits limits;
     limits.max_record_bytes = 256;  // record is ~4 KiB
-    StreamDecoder dec(pool_, feed_, SoftwareCodecEngine::kTable, limits,
+    StreamDecoder dec(pool_, feed_, table_, limits,
                       ParseLimits{}, &sink);
     EXPECT_EQ(dec.Feed(wire.data(), wire.size()),
               ParseStatus::kResourceExhausted);
@@ -240,7 +244,7 @@ TEST_F(StreamingCodecTest, TotalStreamLengthBound)
     StreamCodecLimits limits;
     ParseLimits parse_limits;
     parse_limits.max_payload_bytes = wire.size() - 1;
-    StreamDecoder dec(pool_, feed_, SoftwareCodecEngine::kTable, limits,
+    StreamDecoder dec(pool_, feed_, table_, limits,
                       parse_limits, &sink);
     EXPECT_EQ(dec.Feed(wire.data(), wire.size()),
               ParseStatus::kResourceExhausted);
@@ -252,7 +256,7 @@ TEST_F(StreamingCodecTest, MalformedTagRejected)
     const std::vector<uint8_t> bad(kMaxVarintBytes, 0x80);
     CollectSink sink;
     StreamCodecLimits limits;
-    StreamDecoder dec(pool_, feed_, SoftwareCodecEngine::kTable, limits,
+    StreamDecoder dec(pool_, feed_, table_, limits,
                       ParseLimits{}, &sink);
     EXPECT_EQ(dec.Feed(bad.data(), bad.size()),
               ParseStatus::kMalformedVarint);
@@ -264,7 +268,7 @@ TEST_F(StreamingCodecTest, GroupWireTypeRejected)
     const uint8_t bad[] = {(1u << 3) | 3};
     CollectSink sink;
     StreamCodecLimits limits;
-    StreamDecoder dec(pool_, feed_, SoftwareCodecEngine::kTable, limits,
+    StreamDecoder dec(pool_, feed_, table_, limits,
                       ParseLimits{}, &sink);
     EXPECT_EQ(dec.Feed(bad, sizeof bad),
               ParseStatus::kInvalidWireType);
@@ -278,7 +282,7 @@ TEST_F(StreamingCodecTest, PeakBufferingBoundedByRecordNotStream)
     const std::vector<uint8_t> wire = MakeWire(200, /*body_len=*/64);
     CollectSink sink;
     StreamCodecLimits limits;
-    StreamDecoder dec(pool_, feed_, SoftwareCodecEngine::kTable, limits,
+    StreamDecoder dec(pool_, feed_, table_, limits,
                       ParseLimits{}, &sink);
     for (size_t off = 0; off < wire.size(); off += 32) {
         const size_t len = std::min<size_t>(32, wire.size() - off);
@@ -306,7 +310,7 @@ TEST_F(StreamingCodecTest, SinkAbortSurfacesAsFailure)
     const std::vector<uint8_t> wire = MakeWire(1);
     AbortSink sink;
     StreamCodecLimits limits;
-    StreamDecoder dec(pool_, feed_, SoftwareCodecEngine::kTable, limits,
+    StreamDecoder dec(pool_, feed_, table_, limits,
                       ParseLimits{}, &sink);
     EXPECT_EQ(dec.Feed(wire.data(), wire.size()),
               ParseStatus::kResourceExhausted);

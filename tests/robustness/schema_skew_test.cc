@@ -364,7 +364,7 @@ TEST_F(SchemaSkewNegotiationTest, UnknownFingerprintIsFailedPrecondition)
 {
     rpc::RpcServer server(&pool_,
                           std::make_unique<rpc::SoftwareBackend>(
-                              cpu::BoomParams()));
+                              cpu::BoomParams(), pool_));
     server.RegisterMethod(1, msg_, msg_,
                           [](const Message &, Message) {});
     rpc::SchemaRegistry reg;
@@ -374,7 +374,7 @@ TEST_F(SchemaSkewNegotiationTest, UnknownFingerprintIsFailedPrecondition)
 
     rpc::RpcSession session(&pool_,
                             std::make_unique<rpc::SoftwareBackend>(
-                                cpu::BoomParams()),
+                                cpu::BoomParams(), pool_),
                             &server, rpc::SimulatedChannel{});
     proto::Arena arena;
     Message request = Message::Create(&arena, pool_, msg_);
@@ -403,7 +403,7 @@ TEST_F(SchemaSkewNegotiationTest, RepliesCarryServerFingerprint)
 {
     rpc::RpcServer server(&pool_,
                           std::make_unique<rpc::SoftwareBackend>(
-                              cpu::BoomParams()));
+                              cpu::BoomParams(), pool_));
     server.RegisterMethod(1, msg_, msg_,
                           [](const Message &, Message) {});
     rpc::SchemaRegistry reg;
@@ -472,7 +472,7 @@ TEST(SchemaSkew, GeneratedFallbackCounterObservesTierDowngrade)
 
     rpc::SoftwareBackend backend(
         cpu::BoomParams(), pool, proto::SoftwareCodecEngine::kGenerated);
-    EXPECT_EQ(backend.generated_fallbacks(), 0u);
+    EXPECT_EQ(backend.fallback_counters().generated, 0u);
 
     proto::Arena arena;
     const int root = pool.FindMessage("NotEmitted");
@@ -481,12 +481,12 @@ TEST(SchemaSkew, GeneratedFallbackCounterObservesTierDowngrade)
     msg.SetString(*d.FindFieldByName("s"), "hello");
     const std::vector<uint8_t> wire = backend.Serialize(msg);
     EXPECT_FALSE(wire.empty());
-    EXPECT_EQ(backend.generated_fallbacks(), 1u);
+    EXPECT_EQ(backend.fallback_counters().generated, 1u);
 
     Message dest = Message::Create(&arena, pool, root);
     EXPECT_EQ(backend.Deserialize(wire.data(), wire.size(), &dest),
               StatusCode::kOk);
-    EXPECT_EQ(backend.generated_fallbacks(), 2u);
+    EXPECT_EQ(backend.fallback_counters().generated, 2u);
     EXPECT_TRUE(MessagesEqual(msg, dest));
 
     // A pool WITH an emitted codec never increments the counter.
@@ -497,7 +497,7 @@ TEST(SchemaSkew, GeneratedFallbackCounterObservesTierDowngrade)
         proto::SoftwareCodecEngine::kGenerated);
     Message m2 = Message::Create(&arena, *v1.pool, v1.root);
     (void)gen_backend.Serialize(m2);
-    EXPECT_EQ(gen_backend.generated_fallbacks(), 0u);
+    EXPECT_EQ(gen_backend.fallback_counters().generated, 0u);
 }
 
 }  // namespace

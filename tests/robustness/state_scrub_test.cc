@@ -6,12 +6,19 @@
  * buffers stay warm between jobs (a later request of the same type
  * parses *faster* because an earlier one loaded its ADT lines — a
  * timing side channel), and a deep message dirties the context stacks
- * through the DRAM spill region. The dirty-then-replay contract: run a
- * deep SECRET-laden request A, scrub, then run request B and require it
- * to be cycle-identical and byte-identical to B on a freshly
- * constructed device. A control run without the scrub shows the timing
- * channel is real (B runs measurably different on a dirty device), so
- * the equality assertions actually prove the scrub works.
+ * through the DRAM spill region. The dirty-then-replay contract: probe a
+ * new device with request B, scrub, run a deep SECRET-laden request A,
+ * scrub, then probe with B again and require the second probe to be
+ * cycle-identical and byte-identical to the first. A control run
+ * without the scrubs shows the timing channel is real (B runs
+ * measurably different on a dirty device), so the equality assertions
+ * actually prove the scrub works.
+ *
+ * Every comparison is one device against itself, with B pinned to the
+ * same host addresses each time: the device model prices real
+ * addresses, so B on two different devices (or B's objects at two
+ * different heap positions) would compare two memory layouts, not two
+ * device states.
  */
 #include <gtest/gtest.h>
 
@@ -101,9 +108,16 @@ class StateScrubTest : public ::testing::Test
     RunRequest(AcceleratedBackend *backend,
                const std::vector<uint8_t> &wire)
     {
-        RequestTrace trace;
         Arena arena;
-        Message msg = Message::Create(&arena, pool_, node_);
+        return RunRequest(backend, wire, &arena);
+    }
+
+    RequestTrace
+    RunRequest(AcceleratedBackend *backend,
+               const std::vector<uint8_t> &wire, Arena *dest_arena)
+    {
+        RequestTrace trace;
+        Message msg = Message::Create(dest_arena, pool_, node_);
         double before = backend->codec_cycles();
         EXPECT_EQ(backend->Deserialize(wire.data(), wire.size(), &msg),
                   StatusCode::kOk);
@@ -112,6 +126,21 @@ class StateScrubTest : public ::testing::Test
         trace.bytes = backend->Serialize(msg);
         trace.ser_cycles = backend->codec_cycles() - before;
         return trace;
+    }
+
+    /**
+     * Request B at pinned host addresses: B's destination object and
+     * everything the device allocates while parsing it come from
+     * probe_arena_, which is reset first, so every probe's
+     * deserialize writes and serialize reads touch the same lines.
+     */
+    RequestTrace
+    ProbeRequest(AcceleratedBackend *backend,
+                 const std::vector<uint8_t> &wire)
+    {
+        probe_arena_.Reset();
+        backend->device().DeserAssignArena(&probe_arena_);
+        return RunRequest(backend, wire, &probe_arena_);
     }
 
     static bool
@@ -126,28 +155,29 @@ class StateScrubTest : public ::testing::Test
     const proto::FieldDescriptor *text_ = nullptr;
     const proto::FieldDescriptor *child_ = nullptr;
     const proto::FieldDescriptor *v_ = nullptr;
+    Arena probe_arena_;
 };
 
 TEST_F(StateScrubTest, DirtyDeviceIsObservablyDifferentWithoutScrub)
 {
-    // Control: the cross-request channel exists. Request B on a device
-    // that just served deep request A costs *different* cycles than B
-    // on a fresh device (warm ADT response buffers hit instead of
-    // miss). Without this the equality test below would prove nothing.
+    // Control: the cross-request channel exists. The scrub test's
+    // sequence without its scrubs: request B on a device that just
+    // served deep request A costs *different* cycles than B did on the
+    // same device when it was new (warm ADT response buffers hit
+    // instead of miss). Without this the equality test below would
+    // prove nothing.
     const std::vector<uint8_t> deep = DeepSecretWire();
     const std::vector<uint8_t> probe = ProbeWire();
 
-    AcceleratedBackend fresh(pool_);
-    const RequestTrace b_fresh = RunRequest(&fresh, probe);
-
     AcceleratedBackend dirty(pool_);
+    const RequestTrace b_fresh = ProbeRequest(&dirty, probe);
     RunRequest(&dirty, deep);  // request A dirties the device
     // The deep request went through the DRAM spill region: the dirty
     // state is not just the on-chip registers.
     EXPECT_GT(dirty.device().deserializer().stats().stack_spills, 0u);
     EXPECT_GE(dirty.device().deserializer().stats().max_depth, 26u);
 
-    const RequestTrace b_dirty = RunRequest(&dirty, probe);
+    const RequestTrace b_dirty = ProbeRequest(&dirty, probe);
     EXPECT_EQ(b_dirty.bytes, b_fresh.bytes);  // data is correct...
     // ...but the timing leaks request A's warm-up.
     EXPECT_NE(b_dirty.deser_cycles, b_fresh.deser_cycles);
@@ -158,21 +188,21 @@ TEST_F(StateScrubTest, ScrubbedDeviceIsIndistinguishableFromFresh)
 {
     // The scrub contract: after request A (deep, SECRET-laden, spilled
     // to DRAM) and a full state scrub, request B's bytes AND cycles
-    // are identical to running B on a never-used device. No residue,
-    // no timing channel.
+    // are identical to B on the same device when it was new. No
+    // residue, no timing channel. The first scrub clears B's own
+    // warm-up, so only request A can make the probes differ.
     const std::vector<uint8_t> deep = DeepSecretWire();
     const std::vector<uint8_t> probe = ProbeWire();
 
-    AcceleratedBackend fresh(pool_);
-    const RequestTrace b_fresh = RunRequest(&fresh, probe);
-
     AcceleratedBackend scrubbed(pool_);
+    const RequestTrace b_fresh = ProbeRequest(&scrubbed, probe);
+    scrubbed.ScrubDeviceState();
     RunRequest(&scrubbed, deep);
     ASSERT_GT(scrubbed.device().deserializer().stats().stack_spills,
               0u);
     scrubbed.ScrubDeviceState();
 
-    const RequestTrace b_scrubbed = RunRequest(&scrubbed, probe);
+    const RequestTrace b_scrubbed = ProbeRequest(&scrubbed, probe);
     EXPECT_EQ(b_scrubbed.bytes, b_fresh.bytes);
     EXPECT_EQ(b_scrubbed.deser_cycles, b_fresh.deser_cycles);
     EXPECT_EQ(b_scrubbed.ser_cycles, b_fresh.ser_cycles);
@@ -184,12 +214,10 @@ TEST_F(StateScrubTest, ScrubAfterWatchdogResetRestoresFreshTiming)
     // Dirty-then-replay through the failure path the health policy
     // actually takes: request A wedges the unit, the watchdog resets
     // it and replays (request A still answers), then the health layer
-    // scrubs. Request B must behave exactly as on a fresh device.
+    // scrubs. Request B must behave exactly as it did on the device
+    // when it was new.
     const std::vector<uint8_t> deep = DeepSecretWire();
     const std::vector<uint8_t> probe = ProbeWire();
-
-    AcceleratedBackend fresh(pool_);
-    const RequestTrace b_fresh = RunRequest(&fresh, probe);
 
     sim::FaultConfig fault_config;
     fault_config.unit_wedge_rate = 1.0;
@@ -198,6 +226,8 @@ TEST_F(StateScrubTest, ScrubAfterWatchdogResetRestoresFreshTiming)
     accel::AccelConfig accel_config;
     accel_config.watchdog.budget_cycles = 10'000;
     AcceleratedBackend victim(pool_, accel_config);
+    const RequestTrace b_fresh = ProbeRequest(&victim, probe);
+    victim.ScrubDeviceState();
     victim.SetFaultInjector(&injector);
 
     const RequestTrace a = RunRequest(&victim, deep);
@@ -207,7 +237,7 @@ TEST_F(StateScrubTest, ScrubAfterWatchdogResetRestoresFreshTiming)
     victim.SetFaultInjector(nullptr);  // quarantine fenced the unit
     victim.ScrubDeviceState();
 
-    const RequestTrace b = RunRequest(&victim, probe);
+    const RequestTrace b = ProbeRequest(&victim, probe);
     EXPECT_EQ(b.bytes, b_fresh.bytes);
     EXPECT_EQ(b.deser_cycles, b_fresh.deser_cycles);
     EXPECT_EQ(b.ser_cycles, b_fresh.ser_cycles);

@@ -125,8 +125,9 @@ class StreamingProtocolTest : public ::testing::Test
         const proto::FieldDescriptor &data_f =
             *d.FindFieldByName("data");
         proto::StreamCodecLimits limits;
-        proto::StreamEncoder enc(proto::SoftwareCodecEngine::kTable,
-                                 limits);
+        proto::StreamEncoder enc(
+            proto::SoftwareCodecFor(proto::SoftwareCodecEngine::kTable),
+            limits);
         std::string payload(field_bytes, 'x');
         for (size_t i = 0; i < nfields; ++i) {
             payload[0] = static_cast<char>('a' + (i % 26));

@@ -603,7 +603,6 @@ TEST_F(TenantRuntimeTest, LegacySingleTenantPathUnchanged)
     RuntimeConfig config;
     config.num_workers = 1;
     config.admission_max_wait_ns = 10'000;
-    config.est_call_ns = 2'000;
     RpcServerRuntime runtime(&pool_, SoftwareFactory(), config);
     runtime.RegisterMethod(1, req_, rsp_, EchoHandler());
     uint32_t admitted = 0;

@@ -403,8 +403,8 @@ class RpcEndToEndTest : public ::testing::Test
 TEST_F(RpcEndToEndTest, SoftwareBackendsRoundTrip)
 {
     const RpcTimeBreakdown b = RunSession(
-        std::make_unique<SoftwareBackend>(cpu::BoomParams()),
-        std::make_unique<SoftwareBackend>(cpu::BoomParams()), 20);
+        std::make_unique<SoftwareBackend>(cpu::BoomParams(), pool_),
+        std::make_unique<SoftwareBackend>(cpu::BoomParams(), pool_), 20);
     EXPECT_EQ(b.calls, 20u);
     EXPECT_EQ(b.failures, 0u);
     EXPECT_GT(b.client_codec_ns, 0);
@@ -424,8 +424,8 @@ TEST_F(RpcEndToEndTest, AcceleratedBackendsRoundTrip)
 TEST_F(RpcEndToEndTest, AcceleratorShrinksCodecShare)
 {
     const RpcTimeBreakdown sw = RunSession(
-        std::make_unique<SoftwareBackend>(cpu::BoomParams()),
-        std::make_unique<SoftwareBackend>(cpu::BoomParams()), 30);
+        std::make_unique<SoftwareBackend>(cpu::BoomParams(), pool_),
+        std::make_unique<SoftwareBackend>(cpu::BoomParams(), pool_), 30);
     const RpcTimeBreakdown hw = RunSession(
         std::make_unique<AcceleratedBackend>(pool_),
         std::make_unique<AcceleratedBackend>(pool_), 30);
@@ -441,7 +441,7 @@ TEST_F(RpcEndToEndTest, MixedBackendsInteroperate)
     // Software client, accelerated server: the wire format is the
     // contract (§4: "wire-compatible with standard protobufs").
     const RpcTimeBreakdown b = RunSession(
-        std::make_unique<SoftwareBackend>(cpu::XeonParams()),
+        std::make_unique<SoftwareBackend>(cpu::XeonParams(), pool_),
         std::make_unique<AcceleratedBackend>(pool_), 15);
     EXPECT_EQ(b.failures, 0u);
 }
@@ -450,11 +450,11 @@ TEST_F(RpcEndToEndTest, UnknownMethodYieldsErrorFrame)
 {
     RpcServer server(&pool_,
                      std::make_unique<SoftwareBackend>(
-                         cpu::BoomParams()));
+                         cpu::BoomParams(), pool_));
     server.RegisterMethod(1, req_, rsp_, EchoHandler());
     RpcSession session(&pool_,
                        std::make_unique<SoftwareBackend>(
-                           cpu::BoomParams()),
+                           cpu::BoomParams(), pool_),
                        &server, SimulatedChannel{});
     proto::Arena arena;
     Message request = Message::Create(&arena, pool_, req_);
@@ -469,7 +469,7 @@ TEST_F(RpcEndToEndTest, LossyChannelRetriesExecuteExactlyOnce)
 {
     RpcServer server(&pool_,
                      std::make_unique<SoftwareBackend>(
-                         cpu::BoomParams()));
+                         cpu::BoomParams(), pool_));
     std::atomic<uint64_t> executions{0};
     const Handler echo = EchoHandler();
     server.RegisterMethod(
@@ -487,7 +487,7 @@ TEST_F(RpcEndToEndTest, LossyChannelRetriesExecuteExactlyOnce)
 
     RpcSession session(&pool_,
                        std::make_unique<SoftwareBackend>(
-                           cpu::BoomParams()),
+                           cpu::BoomParams(), pool_),
                        &server, SimulatedChannel{});
     session.SetFaultInjector(&injector);
     RetryPolicy policy;
@@ -526,7 +526,7 @@ TEST_F(RpcEndToEndTest, InFlightCorruptionIsDetectedAndRetried)
 {
     RpcServer server(&pool_,
                      std::make_unique<SoftwareBackend>(
-                         cpu::BoomParams()));
+                         cpu::BoomParams(), pool_));
     server.RegisterMethod(1, req_, rsp_, EchoHandler());
 
     sim::FaultConfig fault_config;
@@ -535,7 +535,7 @@ TEST_F(RpcEndToEndTest, InFlightCorruptionIsDetectedAndRetried)
 
     RpcSession session(&pool_,
                        std::make_unique<SoftwareBackend>(
-                           cpu::BoomParams()),
+                           cpu::BoomParams(), pool_),
                        &server, SimulatedChannel{});
     session.SetFaultInjector(&injector);
     RetryPolicy policy;
@@ -572,7 +572,7 @@ TEST_F(RpcEndToEndTest, ResponseCrcRejectFiresIncidentReporter)
     // observation feeds ReportDeviceIncident without per-call wiring.
     RpcServer server(&pool_,
                      std::make_unique<SoftwareBackend>(
-                         cpu::BoomParams()));
+                         cpu::BoomParams(), pool_));
     server.RegisterMethod(1, req_, rsp_, EchoHandler());
 
     sim::FaultConfig fault_config;
@@ -581,7 +581,7 @@ TEST_F(RpcEndToEndTest, ResponseCrcRejectFiresIncidentReporter)
 
     RpcSession session(&pool_,
                        std::make_unique<SoftwareBackend>(
-                           cpu::BoomParams()),
+                           cpu::BoomParams(), pool_),
                        &server, SimulatedChannel{});
     session.SetFaultInjector(&injector);
     RetryPolicy policy;

@@ -14,6 +14,10 @@ blocks: any object carrying "crc_enabled": false is the
 integrity-disabled baseline (chaos_soak mode B exists to show silent
 corruption happening) and is skipped wholesale.
 
+Every file's "notes" list must hold whole notes: a one-character entry
+is a note that was spread one character per element (a string handed
+to something that iterates its argument), and fails the file.
+
 Usage: check_bench_guard.py FILE.json [FILE.json ...]
 Exit 0 when every file passes, 1 otherwise.
 """
@@ -61,6 +65,23 @@ def check(node, path, failures):
             check(value, f"{path}[{i}]", failures)
 
 
+def check_notes(node, path, failures):
+    """Flag one-character entries in every "notes" list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            child = f"{path}.{key}" if path else key
+            if key == "notes" and isinstance(value, list):
+                for i, note in enumerate(value):
+                    if isinstance(note, str) and len(note) == 1:
+                        failures.append(
+                            f"{child}[{i}] = {note!r} (a note split "
+                            "into characters)")
+            check_notes(value, child, failures)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            check_notes(value, f"{path}[{i}]", failures)
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -76,12 +97,13 @@ def main(argv):
             continue
         failures = []
         check(doc, "", failures)
+        check_notes(doc, "", failures)
         if failures:
             ok = False
             for failure in failures:
                 print(f"{name}: {failure}", file=sys.stderr)
         else:
-            print(f"{name}: correctness counters clean")
+            print(f"{name}: correctness counters and notes clean")
     return 0 if ok else 1
 
 
