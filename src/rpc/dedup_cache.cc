@@ -1,7 +1,9 @@
 #include "rpc/dedup_cache.h"
 
+#include <algorithm>
 #include <cstring>
 
+#include "common/check.h"
 #include "common/crc32c.h"
 
 namespace protoacc::rpc {
@@ -122,14 +124,20 @@ DedupCache::Insert(uint16_t tenant, uint64_t key,
     if (key == 0 || config_.capacity == 0)
         return;
     std::lock_guard<std::mutex> lock(mu_);
-    Entry entry;
-    entry.header = header;
-    entry.payload.assign(payload, payload + payload_bytes);
-    entry.tick = ++insert_tick_;
-    const TenantKey tk{tenant, key};
-    if (!entries_.emplace(tk, std::move(entry)).second)
-        return;  // first committed answer wins
-    fifo_.push_back(tk);
+    InsertLocked(TenantKey{tenant, key}, header, payload, payload_bytes);
+}
+
+void
+DedupCache::InsertLocked(const TenantKey &key, const FrameHeader &header,
+                         const uint8_t *payload, size_t payload_bytes)
+{
+    const auto [it, inserted] = entries_.try_emplace(key);
+    if (!inserted)
+        return;  // first committed answer wins; the clock does not move
+    it->second.header = header;
+    it->second.payload.assign(payload, payload + payload_bytes);
+    it->second.tick = ++insert_tick_;
+    fifo_.push_back(key);
     ++insertions_;
     EvictLocked();
 }
@@ -310,6 +318,161 @@ DedupCache::stats() const
     s.capacity = config_.capacity;
     s.restored = restored_;
     return s;
+}
+
+void
+DedupCache::View::Open(DedupCache *cache, const FrameBuffer *stream,
+                       const TenantKey *keys, size_t num_keys)
+{
+    PA_CHECK(!open_);
+    open_ = true;
+    cache_ = cache;
+    stream_ = stream;
+    for (size_t i = 0; i < num_keys; ++i) {
+        if (!Enabled(keys[i].key))
+            continue;
+        const bool seen =
+            std::any_of(probes_.begin(), probes_.end(),
+                        [&](const Probe &p) { return p.key == keys[i]; });
+        if (!seen)
+            probes_.emplace_back().key = keys[i];
+    }
+    if (probes_.empty())
+        return;
+    std::lock_guard<std::mutex> lock(cache_->mu_);
+    probe_tick_ = cache_->insert_tick_;
+    const std::deque<TenantKey> &fifo = cache_->fifo_;
+    for (Probe &p : probes_) {
+        const auto it = cache_->entries_.find(p.key);
+        if (it == cache_->entries_.end())
+            continue;
+        p.found = true;
+        p.header = it->second.header;
+        p.payload = it->second.payload;
+        p.tick = it->second.tick;
+        // fifo_ holds exactly the live keys, in tick order: binary-
+        // search the entry's position to count the entries after it.
+        size_t lo = 0;
+        size_t hi = fifo.size();
+        while (lo < hi) {
+            const size_t mid = lo + (hi - lo) / 2;
+            if (cache_->entries_.find(fifo[mid])->second.tick < p.tick)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        p.newer = fifo.size() - lo - 1;
+    }
+}
+
+bool
+DedupCache::View::Enabled(uint64_t key) const
+{
+    return key != 0 && cache_ != nullptr && cache_->config_.capacity > 0;
+}
+
+bool
+DedupCache::View::Holds(uint64_t age, uint64_t newer) const
+{
+    // The cache's eviction rules (EvictLocked) both drop from the old
+    // end: an entry survives while it is inside the retry horizon and
+    // among the newest `capacity` entries.
+    const DedupConfig &config = cache_->config_;
+    return (config.retry_horizon == 0 || age <= config.retry_horizon) &&
+           newer < config.capacity;
+}
+
+bool
+DedupCache::View::Find(const TenantKey &key, const FrameHeader **header,
+                       const uint8_t **payload,
+                       size_t *payload_bytes) const
+{
+    const auto probe =
+        std::find_if(probes_.begin(), probes_.end(),
+                     [&](const Probe &p) { return p.key == key; });
+    PA_CHECK(probe != probes_.end());
+    // The newest staged commit of the key decides: anything older was
+    // inserted, and so is dropped, before it.
+    for (auto s = staged_.rbegin(); s != staged_.rend(); ++s) {
+        if (!(s->key == key))
+            continue;
+        const uint64_t age = staged_insertions_ - s->seq;
+        if (!Holds(age, age))
+            return false;
+        *header = &s->header;
+        *payload = stream_->data() + s->offset;
+        *payload_bytes = s->bytes;
+        return true;
+    }
+    if (!probe->found ||
+        !Holds(probe_tick_ + staged_insertions_ - probe->tick,
+               probe->newer + staged_insertions_))
+        return false;
+    *header = &probe->header;
+    *payload = probe->payload.data();
+    *payload_bytes = probe->payload.size();
+    return true;
+}
+
+bool
+DedupCache::View::Lookup(uint16_t tenant, uint64_t key,
+                         FrameHeader *header,
+                         std::vector<uint8_t> *payload)
+{
+    if (!Enabled(key))
+        return false;
+    const FrameHeader *found_header = nullptr;
+    const uint8_t *found_payload = nullptr;
+    size_t found_bytes = 0;
+    if (!Find(TenantKey{tenant, key}, &found_header, &found_payload,
+              &found_bytes)) {
+        ++misses_;
+        return false;
+    }
+    ++hits_;
+    *header = *found_header;
+    payload->assign(found_payload, found_payload + found_bytes);
+    return true;
+}
+
+void
+DedupCache::View::Commit(uint16_t tenant, uint64_t key,
+                         const FrameHeader &header, size_t payload_offset,
+                         size_t payload_bytes)
+{
+    if (!Enabled(key))
+        return;
+    const TenantKey tk{tenant, key};
+    const FrameHeader *found_header = nullptr;
+    const uint8_t *found_payload = nullptr;
+    size_t found_bytes = 0;
+    if (Find(tk, &found_header, &found_payload, &found_bytes))
+        return;  // first committed answer wins
+    PA_CHECK_LE(payload_offset + payload_bytes, stream_->bytes());
+    staged_.push_back(Staged{tk, header, payload_offset, payload_bytes,
+                             ++staged_insertions_});
+}
+
+void
+DedupCache::View::Publish()
+{
+    PA_CHECK(open_);
+    if (hits_ + misses_ > 0 || !staged_.empty()) {
+        std::lock_guard<std::mutex> lock(cache_->mu_);
+        cache_->hits_ += hits_;
+        cache_->misses_ += misses_;
+        for (const Staged &s : staged_)
+            cache_->InsertLocked(s.key, s.header,
+                                 stream_->data() + s.offset, s.bytes);
+    }
+    open_ = false;
+    cache_ = nullptr;
+    stream_ = nullptr;
+    staged_insertions_ = 0;
+    hits_ = 0;
+    misses_ = 0;
+    probes_.clear();
+    staged_.clear();
 }
 
 }  // namespace protoacc::rpc

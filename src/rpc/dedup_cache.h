@@ -40,6 +40,10 @@
  *     rebuilds the cache from one, rejecting corrupt or foreign bytes
  *     fail-closed (an empty cache re-executes some calls; a poisoned
  *     one serves wrong answers).
+ *
+ * Serving workers reach the cache through a DedupCache::View, which
+ * takes the shared lock twice per batch of calls (one probe, one
+ * publish) instead of twice per call.
  */
 #ifndef PROTOACC_RPC_DEDUP_CACHE_H
 #define PROTOACC_RPC_DEDUP_CACHE_H
@@ -96,6 +100,23 @@ class DedupCache
         bool restored = false;
     };
 
+    /// Exact composite key: the 64-bit idempotency key is only unique
+    /// *within* a tenant, so the map key carries both halves verbatim
+    /// (no mixing — a hash blend could collide across tenants, which is
+    /// the very bug tenant scoping fixes).
+    struct TenantKey
+    {
+        uint16_t tenant = 0;
+        uint64_t key = 0;
+        bool
+        operator==(const TenantKey &o) const
+        {
+            return tenant == o.tenant && key == o.key;
+        }
+    };
+
+    class View;
+
     explicit DedupCache(size_t capacity) : config_{capacity, 0} {}
     explicit DedupCache(const DedupConfig &config) : config_(config) {}
 
@@ -126,9 +147,9 @@ class DedupCache
     /**
      * Remember the committed response for @p key in @p tenant's scope.
      * Key 0 and keys already present are ignored (a racing duplicate
-     * execution keeps the first committed answer). Expires entries
-     * beyond the retry horizon, then evicts oldest-first beyond
-     * capacity.
+     * execution keeps the first committed answer) and do not advance
+     * the insertion clock. Expires entries beyond the retry horizon,
+     * then evicts oldest-first beyond capacity.
      */
     void Insert(uint16_t tenant, uint64_t key, const FrameHeader &header,
                 const uint8_t *payload, size_t payload_bytes);
@@ -175,20 +196,6 @@ class DedupCache
         uint64_t tick = 0;
     };
 
-    /// Exact composite key: the 64-bit idempotency key is only unique
-    /// *within* a tenant, so the map key carries both halves verbatim
-    /// (no mixing — a hash blend could collide across tenants, which is
-    /// the very bug tenant scoping fixes).
-    struct TenantKey
-    {
-        uint16_t tenant = 0;
-        uint64_t key = 0;
-        bool
-        operator==(const TenantKey &o) const
-        {
-            return tenant == o.tenant && key == o.key;
-        }
-    };
     struct TenantKeyHash
     {
         size_t
@@ -203,6 +210,10 @@ class DedupCache
             return static_cast<size_t>(x ^ (x >> 31));
         }
     };
+
+    /// Insert's body for a nonzero key. Caller holds mu_.
+    void InsertLocked(const TenantKey &key, const FrameHeader &header,
+                      const uint8_t *payload, size_t payload_bytes);
 
     /// Drop entries older than the retry horizon, then enforce
     /// capacity oldest-first. Caller holds mu_.
@@ -220,6 +231,109 @@ class DedupCache
     uint64_t unsafe_evictions_ = 0;
     uint64_t expired_ = 0;
     bool restored_ = false;
+};
+
+/**
+ * Worker-local staging view of a shared DedupCache, for one batch of
+ * calls at a time: Open() probes every key of the batch under one
+ * lock, Lookup() and Commit() run lock-free against the view, and
+ * Publish() applies the batch's commits and hit/miss counts to the
+ * cache under one more lock.
+ *
+ * Lookup() answers from the commits staged earlier in the batch first,
+ * then from the probe's hits. Commit() stages a response as an offset
+ * and length into the stream its frame was written to, so the payload
+ * is copied once, at Publish(), exactly as Insert() would copy it.
+ *
+ * A view alone on its cache is exact: any sequence of lookups and
+ * commits leaves the same cache image and Stats whether it runs
+ * through views of any batch size or through Lookup()/Insert() one
+ * call at a time. The view applies the cache's own expiry and capacity
+ * rules to the batch's staged commits, so an entry that per-call
+ * inserts would have dropped before a lookup misses in the view too.
+ * Views of different workers see each other's commits at batch
+ * boundaries only: a published commit hits every later probe, while a
+ * duplicate running concurrently on another worker may execute as
+ * well (its commit is then ignored; the first published answer stays).
+ */
+class DedupCache::View
+{
+  public:
+    /**
+     * Open a batch over @p cache (nullptr: a view that never hits and
+     * counts nothing) whose commits will be staged in @p stream, which
+     * must not be cleared, truncated or destroyed before Publish().
+     * Probes the nonzero keys of @p keys under one lock; every key
+     * later passed to Lookup() or Commit() must be among them.
+     */
+    void Open(DedupCache *cache, const FrameBuffer *stream,
+              const TenantKey *keys, size_t num_keys);
+
+    bool is_open() const { return open_; }
+    const FrameBuffer *stream() const { return stream_; }
+
+    /// DedupCache::Lookup() against the view: copies the response out
+    /// (the caller may then append it to the stream, which can move the
+    /// stream's bytes).
+    bool Lookup(uint16_t tenant, uint64_t key, FrameHeader *header,
+                std::vector<uint8_t> *payload);
+
+    /// DedupCache::Insert() against the view: stage the response whose
+    /// @p payload_bytes of payload sit at @p payload_offset in the
+    /// stream.
+    void Commit(uint16_t tenant, uint64_t key, const FrameHeader &header,
+                size_t payload_offset, size_t payload_bytes);
+
+    /// Insert the staged commits in order and add the hit and miss
+    /// counts, under one lock; closes the view.
+    void Publish();
+
+  private:
+    /// One probed key, with the cache's entry when the probe found one.
+    struct Probe
+    {
+        TenantKey key;
+        bool found = false;
+        FrameHeader header;
+        std::vector<uint8_t> payload;
+        uint64_t tick = 0;
+        /// Entries the cache held that were inserted after this one.
+        uint64_t newer = 0;
+    };
+    struct Staged
+    {
+        TenantKey key;
+        FrameHeader header;
+        size_t offset = 0;
+        size_t bytes = 0;
+        /// Position among the batch's staged insertions (1-based).
+        uint64_t seq = 0;
+    };
+
+    /// False for key 0 and for a view without a (nonzero-capacity)
+    /// cache: such lookups miss uncounted and such commits are dropped.
+    bool Enabled(uint64_t key) const;
+    /// Would the cache, after this batch's staged insertions so far,
+    /// still hold an entry @p age insertions old with @p newer entries
+    /// inserted after it?
+    bool Holds(uint64_t age, uint64_t newer) const;
+    /// The cache's answer for @p key as of the batch's staged
+    /// insertions so far; false when it holds none.
+    bool Find(const TenantKey &key, const FrameHeader **header,
+              const uint8_t **payload, size_t *payload_bytes) const;
+
+    DedupCache *cache_ = nullptr;
+    const FrameBuffer *stream_ = nullptr;
+    bool open_ = false;
+    /// The cache's insertion clock at the probe.
+    uint64_t probe_tick_ = 0;
+    /// Commits staged so far (each one a real insertion at Publish()
+    /// when the view is alone on its cache).
+    uint64_t staged_insertions_ = 0;
+    uint64_t hits_ = 0;
+    uint64_t misses_ = 0;
+    std::vector<Probe> probes_;
+    std::vector<Staged> staged_;
 };
 
 }  // namespace protoacc::rpc

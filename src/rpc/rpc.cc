@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/check.h"
+
 namespace protoacc::rpc {
 
 namespace {
@@ -46,9 +48,39 @@ Mix64(uint64_t x)
 
 }  // namespace
 
+void
+RpcServer::OpenDedupBatch(const DedupCache::TenantKey *keys,
+                          size_t num_keys, const FrameBuffer *reply)
+{
+    if (dedup_ != nullptr)
+        dedup_view_.Open(dedup_, reply, keys, num_keys);
+}
+
+void
+RpcServer::PublishDedupBatch()
+{
+    if (dedup_view_.is_open())
+        dedup_view_.Publish();
+}
+
 StatusCode
 RpcServer::HandleFrame(const Frame &frame, FrameBuffer *reply)
 {
+    if (dedup_ == nullptr || dedup_view_.is_open())
+        return Serve(frame, reply);
+    // A call outside an open batch (an RpcSession's) is a batch of one.
+    const DedupCache::TenantKey key{frame.header.tenant_id,
+                                    frame.header.idempotency_key};
+    OpenDedupBatch(&key, 1, reply);
+    const StatusCode status = Serve(frame, reply);
+    PublishDedupBatch();
+    return status;
+}
+
+StatusCode
+RpcServer::Serve(const Frame &frame, FrameBuffer *reply)
+{
+    PA_CHECK(dedup_ == nullptr || dedup_view_.stream() == reply);
     // Steady-state resource reuse: the previous call's request/response
     // objects are dead (their serialized reply left the arena before
     // this call), so reclaim the blocks instead of growing forever.
@@ -95,9 +127,9 @@ RpcServer::HandleFrame(const Frame &frame, FrameBuffer *reply)
             reply->cost_sink()->OnDedupProbe();
         FrameHeader cached_header;
         std::vector<uint8_t> cached_payload;
-        if (dedup_->Lookup(frame.header.tenant_id,
-                           frame.header.idempotency_key, &cached_header,
-                           &cached_payload)) {
+        if (dedup_view_.Lookup(frame.header.tenant_id,
+                               frame.header.idempotency_key,
+                               &cached_header, &cached_payload)) {
             // Re-stamp with this attempt's call id so the client's
             // reply matching works; everything else is the committed
             // answer byte for byte.
@@ -145,15 +177,14 @@ RpcServer::HandleFrame(const Frame &frame, FrameBuffer *reply)
     reply->CommitFrame(written);
     if (dedup_ != nullptr && out_header.idempotency_key != 0) {
         // Remember the committed answer for this key: the payload sits
-        // in the reply stream right where we reserved it.
+        // in the reply stream right where we reserved it, and stays
+        // there until the batch publishes.
         if (reply->cost_sink() != nullptr)
             reply->cost_sink()->OnDedupProbe();
         out_header.payload_bytes = static_cast<uint32_t>(written);
-        dedup_->Insert(out_header.tenant_id,
-                       out_header.idempotency_key, out_header,
-                       reply->data() + reply_start +
-                           FrameHeader::kWireBytes,
-                       written);
+        dedup_view_.Commit(out_header.tenant_id,
+                           out_header.idempotency_key, out_header,
+                           reply_start + FrameHeader::kWireBytes, written);
     }
     return StatusCode::kOk;
 }

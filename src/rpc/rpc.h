@@ -92,6 +92,20 @@ class RpcServer
     void SetDedupCache(DedupCache *cache) { dedup_ = cache; }
 
     /**
+     * Serve the following HandleFrame calls as one dedup batch: probe
+     * the cache for @p keys (the batch's frames' tenant and
+     * idempotency keys) under one lock, answer the batch's lookups and
+     * stage its commits in a DedupCache::View, and publish them with
+     * PublishDedupBatch() under one more lock. Every frame of the
+     * batch must reply into @p reply, which must keep its bytes until
+     * the publish. A call outside a batch is a batch of its own. No-op
+     * without a cache.
+     */
+    void OpenDedupBatch(const DedupCache::TenantKey *keys, size_t num_keys,
+                        const FrameBuffer *reply);
+    void PublishDedupBatch();
+
+    /**
      * Attach the schema-version registry (nullptr detaches, accepting
      * every fingerprint — the pre-negotiation behavior). With a
      * registry, request frames carrying a nonzero schema fingerprint
@@ -139,11 +153,16 @@ class RpcServer
         Handler handler;
     };
 
+    /// HandleFrame's body, inside an open dedup batch when a cache is
+    /// attached.
+    StatusCode Serve(const Frame &frame, FrameBuffer *reply);
+
     const proto::DescriptorPool *pool_;
     std::unique_ptr<CodecBackend> backend_;
     std::map<uint16_t, Method> methods_;
     proto::Arena arena_;
     DedupCache *dedup_ = nullptr;
+    DedupCache::View dedup_view_;
     const SchemaRegistry *schemas_ = nullptr;
     uint64_t schema_fp_ = 0;
     uint64_t schema_rejects_ = 0;

@@ -839,6 +839,18 @@ RpcServerRuntime::ProcessBatch(Worker *w,
         : config_.charge_ingress_framing ? backend.host_cost_sink()
                                          : nullptr;
 
+    // One locked dedup probe for the whole batch; its commits are
+    // staged in the reply stream (not cleared again before the batch
+    // ends) and published under one more lock at the end.
+    if (dedup_ != nullptr) {
+        w->dedup_keys.clear();
+        for (const OwnedFrame &f : *batch)
+            w->dedup_keys.push_back(DedupCache::TenantKey{
+                f.header.tenant_id, f.header.idempotency_key});
+        w->server.OpenDedupBatch(w->dedup_keys.data(),
+                                 w->dedup_keys.size(), &w->replies);
+    }
+
     const bool device_ok = HealthPreBatch(w);
 
     // Degraded-mode serving: a deep residual backlog means the
@@ -889,6 +901,7 @@ RpcServerRuntime::ProcessBatch(Worker *w,
             if (*killed)
                 break;
         }
+        w->server.PublishDedupBatch();
         HealthPostBatch(w, executed);
         return executed;
     }
@@ -1001,6 +1014,7 @@ RpcServerRuntime::ProcessBatch(Worker *w,
         }
         run_start = run_end;
     }
+    w->server.PublishDedupBatch();
     HealthPostBatch(w, executed);
     return executed;
 }

@@ -570,6 +570,8 @@ class RpcServerRuntime
 
         RpcServer server;
         FrameBuffer replies;
+        /// Dedup keys of the batch being served, reused across batches.
+        std::vector<DedupCache::TenantKey> dedup_keys;
         /// Device frame-engine stage (offload datapath): the reply
         /// stream's cost sink when offload is enabled, so egress
         /// framing, CRC stamping and dedup probes accrue device cycles
@@ -653,6 +655,9 @@ class RpcServerRuntime
     /// this batch — reported explicitly, not inferred from a short
     /// count, so a kill landing exactly on a batch boundary (e.g. with
     /// max_batch == 1) still takes the worker down.
+    /// The batch's dedup commits are published before it returns, so
+    /// before the caller acknowledges the batch or marks the worker
+    /// dead.
     /// @return frames executed; the caller pushes the unexecuted tail
     /// back for re-dispatch.
     size_t ProcessBatch(Worker *w, std::vector<OwnedFrame> *batch,

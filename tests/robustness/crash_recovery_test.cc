@@ -130,6 +130,8 @@ class CrashRecoveryTest : public ::testing::Test
         return texts;
     }
 
+    void ExpectDedupSurvivesCrash(uint32_t max_batch);
+
     DescriptorPool pool_;
     int req_ = -1;
     int rsp_ = -1;
@@ -434,11 +436,13 @@ TEST_F(CrashRecoveryTest, ConcurrentShutdownIsIdempotent)
     EXPECT_EQ(runtime.Snapshot().calls, 32u);
 }
 
-TEST_F(CrashRecoveryTest, CrashRecoveryComposesWithDedup)
+/// Crash + duplicate submissions: re-dispatched frames whose call
+/// already committed must dedup, never double-execute. Submit every
+/// call twice (same key) into a runtime whose worker 0 dies after its
+/// fourth call, batching @p max_batch frames per worker wakeup.
+void
+CrashRecoveryTest::ExpectDedupSurvivesCrash(uint32_t max_batch)
 {
-    // Crash + duplicate submissions: re-dispatched frames whose call
-    // already committed must dedup, never double-execute. Submit every
-    // call twice (same key) into a runtime that loses a worker.
     std::atomic<uint32_t> executions{0};
     sim::FaultConfig fault_config;
     fault_config.worker_kills = {{0, 4}};
@@ -446,6 +450,7 @@ TEST_F(CrashRecoveryTest, CrashRecoveryComposesWithDedup)
 
     RuntimeConfig config;
     config.num_workers = 2;
+    config.max_batch = max_batch;
     config.dedup_capacity = 256;
     config.fault_injector = &injector;
     RpcServerRuntime runtime(
@@ -479,6 +484,20 @@ TEST_F(CrashRecoveryTest, CrashRecoveryComposesWithDedup)
     EXPECT_EQ(snap.dedup_hits, kCalls);
     EXPECT_EQ(snap.workers_crashed, 1u);
     EXPECT_EQ(snap.failures, 0u);
+}
+
+TEST_F(CrashRecoveryTest, CrashRecoveryComposesWithDedup)
+{
+    // The default max_batch of 16: the kill lands mid-batch.
+    ExpectDedupSurvivesCrash(16);
+}
+
+TEST_F(CrashRecoveryTest, CrashRecoveryComposesWithDedupAtBatchBoundary)
+{
+    // Worker 0's first batch is exactly the four calls before the kill:
+    // its commits must be published before the worker dies, or the
+    // survivor re-executes their duplicates.
+    ExpectDedupSurvivesCrash(4);
 }
 
 }  // namespace

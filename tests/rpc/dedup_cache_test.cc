@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,6 +142,31 @@ TEST(DedupCacheTest, RetryHorizonExpiresDeadEntriesFirst)
     // Capacity (8) was never the binding constraint: every drop was a
     // provably dead entry.
     EXPECT_EQ(stats.unsafe_evictions, 0u);
+}
+
+TEST(DedupCacheTest, IgnoredDuplicateCommitsDoNotAgeEntries)
+{
+    // Age is measured in insertions: a duplicate commit that the cache
+    // ignores (first committed answer wins) must not advance the clock
+    // and expire live entries early.
+    DedupConfig config;
+    config.capacity = 8;
+    config.retry_horizon = 2;
+    DedupCache cache(config);
+    const std::vector<uint8_t> p = Payload("p");
+    for (int i = 0; i < 4; ++i)
+        cache.Insert(1, ResponseHeader(1, 1, p.size()), p.data(),
+                     p.size());
+    cache.Insert(2, ResponseHeader(2, 2, p.size()), p.data(), p.size());
+
+    // Key 1 is one real insertion old, well inside the horizon.
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    EXPECT_TRUE(cache.Lookup(1, &header, &payload));
+    const DedupCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.insertions, 2u);
+    EXPECT_EQ(stats.expired, 0u);
+    EXPECT_EQ(stats.entries, 2u);
 }
 
 TEST(DedupCacheTest, CapacityEvictionInsideTheHorizonCountsUnsafe)
@@ -320,6 +346,362 @@ TEST(DedupCacheTest, ConcurrentInsertAndLookupAreSafe)
 
     const DedupCache::Stats stats = cache.stats();
     // 50 distinct keys, first committer wins, capacity never exceeded.
+    EXPECT_EQ(stats.entries, 50u);
+    EXPECT_EQ(stats.insertions, 50u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<uint64_t>(kThreads) * kKeysPerThread);
+}
+
+/// One call of a scripted dedup trace: look the key up and commit an
+/// answer on a miss, or (lookup == false) commit without looking.
+struct TraceCall
+{
+    uint16_t tenant = 0;
+    uint64_t key = 0;
+    bool lookup = true;
+};
+
+/// What one call observed: whether its lookup hit, and the answer it
+/// replied with (the cached one on a hit, its own otherwise).
+struct TraceOutcome
+{
+    bool hit = false;
+    std::vector<uint8_t> answer;
+    bool
+    operator==(const TraceOutcome &o) const
+    {
+        return hit == o.hit && answer == o.answer;
+    }
+};
+
+std::vector<uint8_t>
+AnswerFor(size_t call, const TraceCall &c)
+{
+    return Payload("answer-" + std::to_string(c.tenant) + "-" +
+                   std::to_string(c.key) + "-call" + std::to_string(call));
+}
+
+/// Repeats, evictions and expiries for caches of four or fewer entries
+/// (plus key 0, a tenant sharing a key number, and commits of keys
+/// already present).
+std::vector<TraceCall>
+ScriptedTrace()
+{
+    std::vector<TraceCall> trace;
+    const uint64_t keys[] = {1, 2, 1, 3, 4, 5, 1, 2,  6,  2, 7,  8,
+                             3, 9, 9, 10, 4, 11, 12, 12, 5, 13, 1, 14,
+                             14, 0, 15, 16, 13, 15, 17, 1, 18, 19, 2, 17};
+    for (const uint64_t key : keys)
+        trace.push_back(TraceCall{0, key, true});
+    trace[5].tenant = 7;        // tenant 7's key 5 ...
+    trace[20].tenant = 7;       // ... repeats; tenant 0's never ran
+    trace[9].lookup = false;    // commits of a key the cache holds
+    trace[14].lookup = false;
+    trace[19].lookup = false;   // key 12, committed twice in a row
+    return trace;
+}
+
+/// The trace one call at a time through Lookup/Insert.
+std::vector<TraceOutcome>
+RunPerCall(const std::vector<TraceCall> &trace, DedupCache *cache)
+{
+    std::vector<TraceOutcome> outcomes;
+    for (size_t i = 0; i < trace.size(); ++i) {
+        const TraceCall &c = trace[i];
+        TraceOutcome out;
+        FrameHeader header;
+        if (c.lookup)
+            out.hit = cache->Lookup(c.tenant, c.key, &header, &out.answer);
+        if (!out.hit) {
+            out.answer = AnswerFor(i, c);
+            cache->Insert(c.tenant, c.key,
+                          ResponseHeader(static_cast<uint32_t>(i), c.key,
+                                         out.answer.size()),
+                          out.answer.data(), out.answer.size());
+        }
+        outcomes.push_back(out);
+    }
+    return outcomes;
+}
+
+/// The trace through views of @p batch calls each, replying into one
+/// stream per batch the way a serving worker does (a hit appends the
+/// cached answer; a miss appends its own and stages it).
+std::vector<TraceOutcome>
+RunInViews(const std::vector<TraceCall> &trace, size_t batch,
+           DedupCache *cache)
+{
+    std::vector<TraceOutcome> outcomes;
+    DedupCache::View view;
+    for (size_t start = 0; start < trace.size(); start += batch) {
+        const size_t end = std::min(trace.size(), start + batch);
+        std::vector<DedupCache::TenantKey> keys;
+        for (size_t i = start; i < end; ++i)
+            keys.push_back(
+                DedupCache::TenantKey{trace[i].tenant, trace[i].key});
+        FrameBuffer stream;
+        view.Open(cache, &stream, keys.data(), keys.size());
+        for (size_t i = start; i < end; ++i) {
+            const TraceCall &c = trace[i];
+            TraceOutcome out;
+            FrameHeader header;
+            if (c.lookup)
+                out.hit = view.Lookup(c.tenant, c.key, &header,
+                                      &out.answer);
+            if (out.hit) {
+                stream.Append(header, out.answer.data());
+            } else {
+                out.answer = AnswerFor(i, c);
+                header = ResponseHeader(static_cast<uint32_t>(i), c.key,
+                                        out.answer.size());
+                const size_t offset =
+                    stream.bytes() + FrameHeader::kWireBytes;
+                stream.Append(header, out.answer.data());
+                view.Commit(c.tenant, c.key, header, offset,
+                            out.answer.size());
+            }
+            outcomes.push_back(out);
+        }
+        view.Publish();
+    }
+    return outcomes;
+}
+
+void
+ExpectSameStats(const DedupCache::Stats &a, const DedupCache::Stats &b)
+{
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.insertions, b.insertions);
+    EXPECT_EQ(a.evictions, b.evictions);
+    EXPECT_EQ(a.unsafe_evictions, b.unsafe_evictions);
+    EXPECT_EQ(a.expired, b.expired);
+    EXPECT_EQ(a.entries, b.entries);
+    EXPECT_EQ(a.capacity, b.capacity);
+    EXPECT_EQ(a.restored, b.restored);
+}
+
+/// Run ScriptedTrace() per call and through views of 1, 3 and 8 calls,
+/// each on a fresh cache of @p config; every run must observe the same
+/// hits and answers and end in the same image and Stats.
+/// @return the per-call run's Stats.
+DedupCache::Stats
+ExpectViewsMatchPerCall(const DedupConfig &config)
+{
+    const std::vector<TraceCall> trace = ScriptedTrace();
+    DedupCache twin(config);
+    const std::vector<TraceOutcome> expected = RunPerCall(trace, &twin);
+    const DedupCache::Stats twin_stats = twin.stats();
+    for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        DedupCache cache(config);
+        const std::vector<TraceOutcome> outcomes =
+            RunInViews(trace, batch, &cache);
+        EXPECT_EQ(outcomes.size(), expected.size());
+        for (size_t i = 0; i < outcomes.size() && i < expected.size(); ++i)
+            EXPECT_TRUE(outcomes[i] == expected[i]) << "call " << i;
+        EXPECT_EQ(cache.Serialize(), twin.Serialize());
+        ExpectSameStats(cache.stats(), twin_stats);
+    }
+    return twin_stats;
+}
+
+TEST(DedupCacheTest, ViewsOfEveryBatchSizeMatchPerCallLookups)
+{
+    // A view alone on its cache must be indistinguishable from per-call
+    // Lookup/Insert: same hits, same answers, same final image, even
+    // when the batch's own commits expire or evict an entry the probe
+    // found before a later call in the batch looks it up.
+    DedupConfig horizon_bound;  // at most 4 entries are ever in horizon
+    horizon_bound.capacity = 4;
+    horizon_bound.retry_horizon = 3;
+    const DedupCache::Stats expiring = ExpectViewsMatchPerCall(horizon_bound);
+    EXPECT_GT(expiring.hits, 0u);
+    EXPECT_GT(expiring.expired, 0u);
+
+    DedupConfig capacity_bound;
+    capacity_bound.capacity = 3;
+    capacity_bound.retry_horizon = 5;
+    const DedupCache::Stats evicting =
+        ExpectViewsMatchPerCall(capacity_bound);
+    EXPECT_GT(evicting.hits, 0u);
+    EXPECT_GT(evicting.unsafe_evictions, 0u);
+}
+
+TEST(DedupCacheTest, ViewHitsACommitStagedEarlierInTheBatch)
+{
+    DedupCache cache(8);
+    const DedupCache::TenantKey keys[] = {{0, 5}, {0, 5}};
+    FrameBuffer stream;
+    DedupCache::View view;
+    view.Open(&cache, &stream, keys, 2);
+
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    EXPECT_FALSE(view.Lookup(0, 5, &header, &payload));
+    const std::vector<uint8_t> answer = Payload("staged");
+    const FrameHeader committed = ResponseHeader(1, 5, answer.size());
+    const size_t offset = stream.bytes() + FrameHeader::kWireBytes;
+    stream.Append(committed, answer.data());
+    view.Commit(0, 5, committed, offset, answer.size());
+
+    ASSERT_TRUE(view.Lookup(0, 5, &header, &payload));
+    EXPECT_EQ(header.call_id, 1u);
+    EXPECT_EQ(payload, answer);
+    // Nothing reaches the shared cache before the publish.
+    EXPECT_EQ(cache.stats().insertions, 0u);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+
+    view.Publish();
+    const DedupCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.insertions, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    ASSERT_TRUE(cache.Lookup(5, &header, &payload));
+    EXPECT_EQ(payload, answer);
+}
+
+/// Stage @p answer for @p key in @p view, replying into @p stream.
+void
+CommitAnswer(DedupCache::View *view, FrameBuffer *stream, uint64_t key,
+             uint32_t call_id, const std::vector<uint8_t> &answer)
+{
+    const FrameHeader header = ResponseHeader(call_id, key, answer.size());
+    const size_t offset = stream->bytes() + FrameHeader::kWireBytes;
+    stream->Append(header, answer.data());
+    view->Commit(0, key, header, offset, answer.size());
+}
+
+TEST(DedupCacheTest, AnotherViewsNextProbeHitsAPublishedCommit)
+{
+    DedupCache cache(8);
+    const DedupCache::TenantKey key{0, 7};
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+
+    FrameBuffer stream_a;
+    DedupCache::View a;
+    a.Open(&cache, &stream_a, &key, 1);
+    EXPECT_FALSE(a.Lookup(0, 7, &header, &payload));
+    CommitAnswer(&a, &stream_a, 7, 1, Payload("from-a"));
+
+    // A batch that probed before the publish does not see the commit.
+    FrameBuffer stream_early;
+    DedupCache::View early;
+    early.Open(&cache, &stream_early, &key, 1);
+    a.Publish();
+    EXPECT_FALSE(early.Lookup(0, 7, &header, &payload));
+    early.Publish();
+
+    FrameBuffer stream_b;
+    DedupCache::View b;
+    b.Open(&cache, &stream_b, &key, 1);
+    ASSERT_TRUE(b.Lookup(0, 7, &header, &payload));
+    EXPECT_EQ(header.call_id, 1u);
+    EXPECT_EQ(payload, Payload("from-a"));
+    b.Publish();
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(DedupCacheTest, FirstPublishedAnswerWinsAcrossViews)
+{
+    DedupCache cache(8);
+    const DedupCache::TenantKey key{0, 9};
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    FrameBuffer stream_a;
+    FrameBuffer stream_b;
+    DedupCache::View a;
+    DedupCache::View b;
+    a.Open(&cache, &stream_a, &key, 1);
+    b.Open(&cache, &stream_b, &key, 1);
+    EXPECT_FALSE(a.Lookup(0, 9, &header, &payload));
+    EXPECT_FALSE(b.Lookup(0, 9, &header, &payload));
+    CommitAnswer(&b, &stream_b, 9, 2, Payload("from-b"));
+    CommitAnswer(&a, &stream_a, 9, 1, Payload("from-a"));
+    a.Publish();
+    b.Publish();
+
+    ASSERT_TRUE(cache.Lookup(9, &header, &payload));
+    EXPECT_EQ(payload, Payload("from-a"));
+    EXPECT_EQ(cache.stats().insertions, 1u);
+    EXPECT_EQ(cache.stats().entries, 1u);
+}
+
+TEST(DedupCacheTest, ViewKeyZeroAndCapacityZeroBehaveAsPerCall)
+{
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    const std::vector<uint8_t> answer = Payload("x");
+
+    // Key 0 never hits, is never cached and never counts as a miss.
+    DedupCache cache(8);
+    const DedupCache::TenantKey zero{0, 0};
+    FrameBuffer stream;
+    DedupCache::View view;
+    view.Open(&cache, &stream, &zero, 1);
+    EXPECT_FALSE(view.Lookup(0, 0, &header, &payload));
+    CommitAnswer(&view, &stream, 0, 1, answer);
+    view.Publish();
+    DedupCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.insertions, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+
+    // Capacity 0 disables the cache.
+    DedupCache disabled(0);
+    const DedupCache::TenantKey key{0, 9};
+    FrameBuffer stream_off;
+    view.Open(&disabled, &stream_off, &key, 1);
+    EXPECT_FALSE(view.Lookup(0, 9, &header, &payload));
+    CommitAnswer(&view, &stream_off, 9, 1, answer);
+    view.Publish();
+    stats = disabled.stats();
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.insertions, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_FALSE(disabled.Lookup(9, &header, &payload));
+}
+
+TEST(DedupCacheTest, ConcurrentViewsOverOverlappingKeysAreSafe)
+{
+    // The serving runtime's pattern: several workers, each running
+    // batches through its own view of the one shared cache. The TSan
+    // job runs this.
+    DedupCache cache(64);
+    constexpr int kThreads = 4;
+    constexpr uint64_t kKeysPerThread = 200;
+    constexpr uint64_t kBatch = 8;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&cache, t] {
+            const std::vector<uint8_t> answer =
+                Payload("thread-" + std::to_string(t));
+            DedupCache::View view;
+            for (uint64_t start = 0; start < kKeysPerThread;
+                 start += kBatch) {
+                std::vector<DedupCache::TenantKey> keys;
+                for (uint64_t i = start; i < start + kBatch; ++i)
+                    keys.push_back(
+                        DedupCache::TenantKey{0, (i * 7 + t) % 50 + 1});
+                FrameBuffer stream;
+                view.Open(&cache, &stream, keys.data(), keys.size());
+                for (const DedupCache::TenantKey &k : keys) {
+                    FrameHeader header;
+                    std::vector<uint8_t> payload;
+                    if (!view.Lookup(0, k.key, &header, &payload))
+                        CommitAnswer(&view, &stream, k.key, 1, answer);
+                }
+                view.Publish();
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+
+    const DedupCache::Stats stats = cache.stats();
+    // 50 distinct keys, first publisher wins, capacity never exceeded.
     EXPECT_EQ(stats.entries, 50u);
     EXPECT_EQ(stats.insertions, 50u);
     EXPECT_EQ(stats.evictions, 0u);

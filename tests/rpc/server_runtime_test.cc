@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <numeric>
 #include <thread>
@@ -264,6 +265,58 @@ TEST_F(ServerRuntimeTest, ConcurrentSubmittersAreSafe)
     EXPECT_EQ(snap.calls,
               static_cast<uint64_t>(kThreads) * kPerThread);
     EXPECT_EQ(snap.failures, 0u);
+}
+
+TEST_F(ServerRuntimeTest, DedupUnderConcurrentSubmitters)
+{
+    // Two submitters send overlapping idempotency keys under distinct
+    // call ids while the workers run, so duplicates of one key land on
+    // different workers' batches (and views) at the same time. The
+    // TSan job runs this. Each submission either executes or replays,
+    // and each distinct key is committed exactly once.
+    RuntimeConfig config;
+    config.num_workers = 3;
+    config.record_replies = false;
+    config.dedup_capacity = 4096;
+    RpcServerRuntime runtime(&pool_, SoftwareFactory(), config);
+    std::atomic<uint64_t> executions{0};
+    runtime.SetExecObserver([&executions](uint16_t, uint64_t) {
+        executions.fetch_add(1, std::memory_order_relaxed);
+    });
+    runtime.RegisterMethod(1, req_, rsp_, EchoHandler());
+    runtime.Start();
+
+    constexpr uint32_t kThreads = 2;
+    constexpr uint32_t kPerThread = 600;
+    constexpr uint64_t kDistinctKeys = 400;
+    const std::vector<uint8_t> wire = RequestWire(7, "dedup");
+    std::vector<std::thread> submitters;
+    for (uint32_t t = 0; t < kThreads; ++t)
+        submitters.emplace_back([&runtime, &wire, t] {
+            for (uint32_t i = 0; i < kPerThread; ++i) {
+                FrameHeader h;
+                h.call_id = t * kPerThread + i + 1;
+                h.method_id = 1;
+                h.kind = FrameKind::kRequest;
+                h.payload_bytes = static_cast<uint32_t>(wire.size());
+                // The threads walk the key space from opposite ends, so
+                // their duplicates meet mid-run.
+                const uint64_t k = t == 0 ? i : kPerThread - 1 - i;
+                h.idempotency_key = 0x5000 + k % kDistinctKeys;
+                ASSERT_EQ(runtime.Submit(h, wire.data()), StatusCode::kOk);
+            }
+        });
+    for (auto &t : submitters)
+        t.join();
+    runtime.Drain();
+
+    const RuntimeSnapshot snap = runtime.Snapshot();
+    EXPECT_EQ(snap.calls, uint64_t{kThreads} * kPerThread);
+    EXPECT_EQ(snap.failures, 0u);
+    EXPECT_EQ(executions.load() + snap.dedup_hits,
+              uint64_t{kThreads} * kPerThread);
+    EXPECT_EQ(snap.dedup_insertions, kDistinctKeys);
+    EXPECT_EQ(snap.dedup_evictions, 0u);
 }
 
 TEST_F(ServerRuntimeTest, UnknownMethodYieldsErrorFrameThroughRuntime)

@@ -7,7 +7,10 @@ their emitted JSON are produced by the same process — a bug in the
 binary's own `require()` wiring could print PASS while the counters
 rot. This script re-checks the emitted BENCH_*.json files from the
 outside: every correctness counter it knows about must be exactly zero,
-and every determinism flag must be true.
+every determinism flag must be true, and the exactly-once accounting
+must balance: where an object reports both counters of a pair below,
+they must be equal (each logical call commits exactly one dedup entry;
+each reply the client lost is replayed from the cache exactly once).
 
 Counters that are nonzero *by design* live in control-experiment
 blocks: any object carrying "crc_enabled": false is the
@@ -45,11 +48,23 @@ MUST_BE_TRUE = {
     "deterministic_counters",
 }
 
+# Counter pairs that must be equal wherever both sit in one object.
+MUST_BE_EQUAL = (
+    ("dedup_insertions", "calls"),
+    ("dedup_hits", "client_reply_drops"),
+    ("dedup_hits", "reply_drops"),  # fleet_soak's name for reply drops
+)
+
 
 def check(node, path, failures):
     if isinstance(node, dict):
         if node.get("crc_enabled") is False:
             return  # control experiment: nonzero counters are the point
+        for a, b in MUST_BE_EQUAL:
+            if a in node and b in node and node[a] != node[b]:
+                where = f"{path}." if path else ""
+                failures.append(f"{where}{a} = {node[a]} != "
+                                f"{where}{b} = {node[b]} (expected equal)")
         for key, value in node.items():
             child = f"{path}.{key}" if path else key
             if key in MUST_BE_ZERO and isinstance(value, (int, float)):
