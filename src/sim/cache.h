@@ -18,7 +18,9 @@
 
 namespace protoacc::sim {
 
-/// Configuration of one cache level.
+/// Configuration of one cache level. line_bytes and the set count
+/// (size_bytes / line_bytes / ways) must be powers of two, and one
+/// way's span (size_bytes / ways) at least 4 bytes.
 struct CacheConfig
 {
     std::string name = "cache";
@@ -47,7 +49,8 @@ struct CacheStats
 };
 
 /**
- * Tag-array model of one set-associative, write-back, LRU cache level.
+ * Tag-array model of one set-associative, write-back, true-LRU cache
+ * level. A miss fills an empty way before it evicts anything.
  */
 class Cache
 {
@@ -62,7 +65,7 @@ class Cache
      */
     bool Access(uint64_t addr, bool is_write);
 
-    /// Probe without modifying state.
+    /// Probe without modifying state (recency included).
     bool Contains(uint64_t addr) const;
 
     /// Invalidate all lines (e.g. between benchmark phases).
@@ -73,23 +76,28 @@ class Cache
     void ResetStats() { stats_ = CacheStats{}; }
 
   private:
-    struct Line
-    {
-        uint64_t tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        uint64_t lru = 0;  ///< last-use timestamp
-    };
+    /// A tag word is the line's address with its set-index and offset
+    /// bits cleared; these two flags live in the cleared bits. An empty
+    /// way holds 0.
+    static constexpr uint64_t kValid = 1;
+    static constexpr uint64_t kDirty = 2;
 
-    uint64_t line_addr(uint64_t addr) const
+    /// The clean tag word of a line holding @p addr.
+    uint64_t Key(uint64_t addr) const { return (addr & tag_mask_) | kValid; }
+    size_t
+    SetBase(uint64_t addr) const
     {
-        return addr / config_.line_bytes;
+        return static_cast<size_t>((addr >> line_shift_) & set_mask_) *
+               config_.ways;
     }
 
     CacheConfig config_;
-    uint32_t num_sets_;
-    std::vector<Line> lines_;  ///< num_sets_ * ways, set-major
-    uint64_t tick_ = 0;
+    int line_shift_ = 0;
+    uint64_t set_mask_ = 0;
+    uint64_t tag_mask_ = 0;
+    /// ways tag words per set, set-major. Each set is ordered most
+    /// recently used first, with its empty ways (if any) last.
+    std::vector<uint64_t> words_;
     CacheStats stats_;
 };
 

@@ -5,7 +5,10 @@
 namespace protoacc::sim {
 
 MemorySystem::MemorySystem(const MemorySystemConfig &config)
-    : config_(config), l2_(config.l2), llc_(config.llc)
+    : config_(config),
+      l2_(config.l2),
+      llc_(config.llc),
+      line_shift_(Log2Floor(config.l2.line_bytes))
 {}
 
 uint64_t
@@ -26,16 +29,15 @@ MemorySystem::ReadLatency(uint64_t addr, uint64_t size)
     ++stats_.reads;
     stats_.read_bytes += size;
 
-    const uint32_t line = config_.l2.line_bytes;
-    const uint64_t first_line = addr / line;
-    const uint64_t last_line = (addr + size - 1) / line;
+    const uint64_t first_line = addr >> line_shift_;
+    const uint64_t last_line = (addr + size - 1) >> line_shift_;
 
     uint64_t latency = LineLatency(addr, false);
     // Further lines stream behind the first: the wrappers keep multiple
     // requests outstanding, so each extra line costs one bus beat per
     // bus-width chunk (bandwidth bound), not full latency.
     for (uint64_t l = first_line + 1; l <= last_line; ++l)
-        LineLatency(l * line, false);  // keep tags warm/accurate
+        LineLatency(l << line_shift_, false);  // keep tags warm/accurate
     const uint64_t beats = CeilDiv(size, config_.bus_bytes_per_cycle);
     return latency + (beats > 0 ? beats - 1 : 0);
 }
@@ -48,11 +50,10 @@ MemorySystem::WriteLatency(uint64_t addr, uint64_t size)
     ++stats_.writes;
     stats_.write_bytes += size;
 
-    const uint32_t line = config_.l2.line_bytes;
-    const uint64_t first_line = addr / line;
-    const uint64_t last_line = (addr + size - 1) / line;
+    const uint64_t first_line = addr >> line_shift_;
+    const uint64_t last_line = (addr + size - 1) >> line_shift_;
     for (uint64_t l = first_line; l <= last_line; ++l)
-        LineLatency(l * line, true);
+        LineLatency(l << line_shift_, true);
     // Posted write: occupancy is one bus beat per bus-width chunk.
     return CeilDiv(size, config_.bus_bytes_per_cycle);
 }

@@ -81,6 +81,8 @@ class MemorySystem
     MemorySystemConfig config_;
     Cache l2_;
     Cache llc_;
+    /// log2 of the L2 line size, the stride multi-line accesses walk.
+    int line_shift_;
     MemorySystemStats stats_;
 };
 

@@ -16,7 +16,7 @@
 
 namespace protoacc::sim {
 
-/// TLB configuration.
+/// TLB configuration. page_bytes must be a power of two.
 struct TlbConfig
 {
     uint32_t entries = 32;
@@ -50,16 +50,12 @@ class Tlb
     void ResetStats() { stats_ = TlbStats{}; }
 
   private:
-    struct Entry
-    {
-        uint64_t vpn = 0;
-        bool valid = false;
-        uint64_t lru = 0;
-    };
-
     TlbConfig config_;
-    std::vector<Entry> entries_;
-    uint64_t tick_ = 0;
+    int page_shift_ = 0;
+    /// Page numbers of the resident translations, most recently used
+    /// first; only the first used_ are valid.
+    std::vector<uint64_t> pages_;
+    uint32_t used_ = 0;
     TlbStats stats_;
 };
 
