@@ -9,8 +9,9 @@
  * runs every codec benchmark on that software engine, so per-engine
  * rows come from identical workloads in one binary. The generated
  * engine requires the build-time codecs (pa_gen_codecs) to cover the
- * benchmark pools; benchmarks whose pool has no linked codec skip with
- * an error rather than silently measuring another engine.
+ * message type each benchmark runs; benchmarks whose type has no
+ * emitted code skip with an error rather than silently measuring
+ * another engine.
  */
 #include <benchmark/benchmark.h>
 
@@ -48,15 +49,16 @@ EngineSerializeTo(const Message &msg, uint8_t *buf, size_t cap)
 }
 
 /// Labels the row with the engine and, for the generated engine,
-/// verifies a codec is linked for @p pool. Returns false (after
-/// SkipWithError) when coverage is missing.
+/// verifies a linked codec covers @p w's message type, the one type the
+/// row runs. Returns false (after SkipWithError) when coverage is
+/// missing.
 bool
-PrepareEngine(benchmark::State &state, const DescriptorPool &pool)
+PrepareEngine(benchmark::State &state, const harness::Workload &w)
 {
     state.SetLabel(g_codec->name);
-    if (ResolveSoftwareCodec(g_codec->engine, pool).engine !=
+    if (ResolveSoftwareCodec(g_codec->engine, *w.pool, w.msg_index).engine !=
         g_codec->engine) {
-        state.SkipWithError("no generated codec linked for this pool");
+        state.SkipWithError("no generated codec linked for this type");
         return false;
     }
     return true;
@@ -115,7 +117,7 @@ BM_SerializeMicrobench(benchmark::State &state)
     const auto bench =
         harness::MakeVarintBench(static_cast<int>(state.range(0)),
                                  /*repeated=*/false);
-    if (!PrepareEngine(state, *bench->workload.pool))
+    if (!PrepareEngine(state, bench->workload))
         return;
     std::vector<uint8_t> buf(1 << 16);
     for (auto _ : state) {
@@ -136,7 +138,7 @@ BM_ParseMicrobench(benchmark::State &state)
     const auto bench =
         harness::MakeVarintBench(static_cast<int>(state.range(0)),
                                  /*repeated=*/false);
-    if (!PrepareEngine(state, *bench->workload.pool))
+    if (!PrepareEngine(state, bench->workload))
         return;
     for (auto _ : state) {
         Arena arena;
@@ -164,7 +166,7 @@ BM_ParseArenaResetReuse(benchmark::State &state)
     const auto bench =
         harness::MakeVarintBench(static_cast<int>(state.range(0)),
                                  /*repeated=*/false);
-    if (!PrepareEngine(state, *bench->workload.pool))
+    if (!PrepareEngine(state, bench->workload))
         return;
     Arena arena;
     for (auto _ : state) {
@@ -190,7 +192,7 @@ BM_ParseArenaFreshEachMessage(benchmark::State &state)
     const auto bench =
         harness::MakeVarintBench(static_cast<int>(state.range(0)),
                                  /*repeated=*/false);
-    if (!PrepareEngine(state, *bench->workload.pool))
+    if (!PrepareEngine(state, bench->workload))
         return;
     for (auto _ : state) {
         for (const auto &wire : bench->workload.wires) {
@@ -215,7 +217,10 @@ BM_ParseRandomSchema(benchmark::State &state)
     const int root = GenerateRandomSchema(&pool, &rng,
                                           SchemaGenOptions{});
     pool.Compile();
-    if (!PrepareEngine(state, pool))
+    harness::Workload w;
+    w.pool = &pool;
+    w.msg_index = root;
+    if (!PrepareEngine(state, w))
         return;
     Arena build_arena;
     Message msg = Message::Create(&build_arena, pool, root);
@@ -238,7 +243,7 @@ BM_StringFieldCopy(benchmark::State &state)
 {
     const auto bench = harness::MakeStringBench(
         "s", static_cast<size_t>(state.range(0)));
-    if (!PrepareEngine(state, *bench->workload.pool))
+    if (!PrepareEngine(state, bench->workload))
         return;
     for (auto _ : state) {
         Arena arena;
@@ -263,7 +268,7 @@ BM_SerializeString(benchmark::State &state)
 {
     const auto bench = harness::MakeStringBench(
         "s", static_cast<size_t>(state.range(0)));
-    if (!PrepareEngine(state, *bench->workload.pool))
+    if (!PrepareEngine(state, bench->workload))
         return;
     std::vector<uint8_t> buf(bench->workload.total_wire_bytes + 64);
     for (auto _ : state) {
@@ -287,7 +292,7 @@ BM_SerializeRepeatedString(benchmark::State &state)
 {
     const auto bench = harness::MakeRepeatedStringBench(
         "rs", static_cast<size_t>(state.range(0)), /*count=*/32);
-    if (!PrepareEngine(state, *bench->workload.pool))
+    if (!PrepareEngine(state, bench->workload))
         return;
     std::vector<uint8_t> buf(bench->workload.total_wire_bytes + 64);
     for (auto _ : state) {
@@ -324,7 +329,7 @@ BM_HpbParse(benchmark::State &state)
 {
     const auto &bench = HpbSuite()[static_cast<size_t>(state.range(0))];
     const harness::Workload &w = bench.workload;
-    if (!PrepareEngine(state, *w.pool))
+    if (!PrepareEngine(state, w))
         return;
     for (auto _ : state) {
         Arena arena;
@@ -345,7 +350,7 @@ BM_HpbSerialize(benchmark::State &state)
 {
     const auto &bench = HpbSuite()[static_cast<size_t>(state.range(0))];
     const harness::Workload &w = bench.workload;
-    if (!PrepareEngine(state, *w.pool))
+    if (!PrepareEngine(state, w))
         return;
     std::vector<uint8_t> buf(1 << 20);
     for (auto _ : state) {

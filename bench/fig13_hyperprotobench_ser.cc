@@ -56,7 +56,9 @@ main()
                 "");
     std::vector<double> ratios;
     for (const auto &b : benches) {
-        if (proto::GetGeneratedCodec(*b.workload.pool) == nullptr) {
+        const proto::GeneratedPoolCodec *codec =
+            proto::GetGeneratedCodec(*b.workload.pool);
+        if (codec == nullptr || !codec->covers(b.workload.msg_index)) {
             std::printf("  %-18s %12s\n", b.name.c_str(),
                         "(no codec linked)");
             continue;

@@ -70,8 +70,8 @@ Throughput AccelSerialize(const Workload &workload,
  * (reference / table / generated), measured with a monotonic clock and
  * no cost sink: this is the build host's real time, complementary to
  * the modeled-cycle numbers above. Throughput::cycles carries elapsed
- * nanoseconds. Requires a linked generated codec when @p engine is
- * kGenerated (the entry points PA_CHECK).
+ * nanoseconds. Requires a generated codec covering the workload's type
+ * when @p engine is kGenerated (the entry points PA_CHECK).
  */
 Throughput HostWallDeserialize(proto::SoftwareCodecEngine engine,
                                const Workload &workload,

@@ -866,10 +866,11 @@ EmitWrite(Src &s, const CodecTableSet &set, int k)
 // ---------------------------------------------------------------------
 
 void
-EmitDispatch(Src &s, const CodecTableSet &set, uint64_t fp,
+EmitDispatch(Src &s, const std::vector<int> &types,
+             const std::string &coverage, uint64_t fp,
              std::string_view pool_name)
 {
-    const int n = static_cast<int>(set.table_count());
+    const int n = static_cast<int>(coverage.size());
 
     s.P("template <bool S>");
     s.P("ParseStatus");
@@ -878,7 +879,7 @@ EmitDispatch(Src &s, const CodecTableSet &set, uint64_t fp,
     s.P("{");
     s.P("    gensup::GenReader<S> r(data, data + len, c.sink);");
     s.P("    switch (idx) {");
-    for (int k = 0; k < n; ++k)
+    for (const int k : types)
         s.P("      case %d: return Parse_%d<S>(c, r, obj, 0);", k, k);
     s.P("    }");
     s.P("    PA_CHECK(false);");
@@ -890,7 +891,7 @@ EmitDispatch(Src &s, const CodecTableSet &set, uint64_t fp,
     s.P("SizeAny(int idx, const char *obj, gensup::GenSizeCtx &c)");
     s.P("{");
     s.P("    switch (idx) {");
-    for (int k = 0; k < n; ++k)
+    for (const int k : types)
         s.P("      case %d: return Size_%d<S>(obj, c);", k, k);
     s.P("    }");
     s.P("    PA_CHECK(false);");
@@ -903,7 +904,7 @@ EmitDispatch(Src &s, const CodecTableSet &set, uint64_t fp,
     s.P("         gensup::GenWriteCtx &wc)");
     s.P("{");
     s.P("    switch (idx) {");
-    for (int k = 0; k < n; ++k)
+    for (const int k : types)
         s.P("      case %d: Write_%d<S>(obj, w, wc); return;", k, k);
     s.P("    }");
     s.P("    PA_CHECK(false);");
@@ -1012,6 +1013,8 @@ EmitDispatch(Src &s, const CodecTableSet &set, uint64_t fp,
     s.P("    0x%016llxull,", static_cast<unsigned long long>(fp));
     s.P("    \"%s\",", std::string(pool_name).c_str());
     s.P("    %d,", n);
+    // One character per type: longer than P's line buffer allows.
+    s.str() += "    \"" + coverage + "\",\n";
     s.P("    &DoParse,");
     s.P("    &DoByteSize,");
     s.P("    &DoSerializeTo,");
@@ -1042,12 +1045,35 @@ CodecFilePrologue(std::string_view banner)
 }
 
 std::string
-GenerateCodecSource(const DescriptorPool &pool, std::string_view pool_name)
+GenerateCodecSource(const DescriptorPool &pool, std::string_view pool_name,
+                    const std::vector<int> &roots)
 {
     PA_CHECK(pool.compiled());
     const CodecTableSet &set = GetCodecTables(pool);
     const uint64_t fp = SchemaFingerprint(pool);
     const int n = static_cast<int>(set.table_count());
+
+    // The closure of @p roots over message-typed fields: '1' per type
+    // whose code is emitted. Emitted code calls no other type's code.
+    std::string coverage(static_cast<size_t>(n), '0');
+    std::vector<int> todo = roots;
+    while (!todo.empty()) {
+        const int k = todo.back();
+        todo.pop_back();
+        PA_CHECK(k >= 0 && k < n);
+        if (coverage[static_cast<size_t>(k)] == '1')
+            continue;
+        coverage[static_cast<size_t>(k)] = '1';
+        for (const CodecEntry &e : set.table(k).entries) {
+            if (e.op == FieldOp::kMessage)
+                todo.push_back(e.sub_table);
+        }
+    }
+    std::vector<int> types;  // ascending, as the pool orders them
+    for (int k = 0; k < n; ++k) {
+        if (coverage[static_cast<size_t>(k)] == '1')
+            types.push_back(k);
+    }
 
     Src s;
     s.P("// pool \"%s\": %d message type(s), fingerprint %016llx",
@@ -1060,7 +1086,7 @@ GenerateCodecSource(const DescriptorPool &pool, std::string_view pool_name)
 
     // Default-string constants (singular string/bytes with non-empty
     // defaults; written when the slot is present-but-null).
-    for (int k = 0; k < n; ++k) {
+    for (const int k : types) {
         for (const CodecEntry &e : set.table(k).entries) {
             if (e.repeated() ||
                 (e.op != FieldOp::kString && e.op != FieldOp::kBytes) ||
@@ -1073,7 +1099,7 @@ GenerateCodecSource(const DescriptorPool &pool, std::string_view pool_name)
     }
 
     // Lenient-path metadata, indexed by entry position.
-    for (int k = 0; k < n; ++k) {
+    for (const int k : types) {
         const CodecTable &t = set.table(k);
         bool any_scalar = false;
         for (const CodecEntry &e : t.entries)
@@ -1095,7 +1121,7 @@ GenerateCodecSource(const DescriptorPool &pool, std::string_view pool_name)
     s.P("");
 
     // Forward declarations (messages reference each other freely).
-    for (int k = 0; k < n; ++k) {
+    for (const int k : types) {
         s.P("template <bool S>");
         s.P("ParseStatus Parse_%d(gensup::GenParseCtx &c, "
             "gensup::GenReader<S> &r, char *obj, int depth);",
@@ -1109,13 +1135,13 @@ GenerateCodecSource(const DescriptorPool &pool, std::string_view pool_name)
     }
     s.P("");
 
-    for (int k = 0; k < n; ++k) {
+    for (const int k : types) {
         EmitParse(s, set, k);
         EmitSize(s, set, k);
         EmitWrite(s, set, k);
     }
 
-    EmitDispatch(s, set, fp, pool_name);
+    EmitDispatch(s, types, coverage, fp, pool_name);
 
     s.P("");
     s.P("}  // namespace");

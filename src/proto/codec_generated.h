@@ -14,6 +14,11 @@
  * picks up its specialized codec; pools with no matching codec simply
  * resolve to nullptr and callers fall back to the table engine.
  *
+ * A codec covers only its generation roots and the types they reach
+ * (for a HyperProtoBench pool, its workload's type). The entry points
+ * check the message's type, not just its pool; a caller that may meet
+ * an uncovered type asks first (covers(), or ResolveSoftwareCodec).
+ *
  * The generated engine is wire- and verdict-identical to the other two
  * and emits the exact same CostSink event stream as the table engine,
  * so its modeled BOOM/Xeon cycles are unchanged — the win is host
@@ -55,6 +60,10 @@ struct GeneratedPoolCodec
     const char *name;
     /// Message count of the source pool (cheap sanity cross-check).
     int message_count;
+    /// One character per pool type: '1' where code was emitted (the
+    /// closure of the generation roots over message-typed fields), '0'
+    /// where none was.
+    const char *coverage;
 
     ParseStatus (*parse)(int msg_index, const uint8_t *data, size_t len,
                          Message *msg, CostSink *sink,
@@ -64,6 +73,15 @@ struct GeneratedPoolCodec
                            size_t cap, CostSink *sink);
     size_t (*serialize)(int msg_index, const Message &msg,
                         std::vector<uint8_t> *out, CostSink *sink);
+
+    /// True when type @p msg_index has emitted code; its sub-message
+    /// types then have code too, so any message of the type runs.
+    bool
+    covers(int msg_index) const
+    {
+        return msg_index >= 0 && msg_index < message_count &&
+               coverage[msg_index] == '1';
+    }
 };
 
 /**
@@ -108,8 +126,9 @@ size_t GeneratedCodecCount();
 // ---------------------------------------------------------------------
 // Engine entry points, signature-compatible with the table engine's
 // ParseFromBuffer / ByteSize / SerializeToBuffer / Serialize. All four
-// PA_CHECK that a generated codec exists for the message's pool — call
-// GetGeneratedCodec first when fallback is possible.
+// PA_CHECK that a generated codec exists for the message's pool and
+// covers the message's type — ask GeneratedPoolCodec::covers (or
+// ResolveSoftwareCodec) first when fallback is possible.
 // ---------------------------------------------------------------------
 
 ParseStatus GeneratedParseFromBuffer(const uint8_t *data, size_t len,

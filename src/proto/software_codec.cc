@@ -1,5 +1,6 @@
 #include "proto/software_codec.h"
 
+#include <cstring>
 #include <iterator>
 
 #include "common/check.h"
@@ -36,12 +37,18 @@ SoftwareCodecFor(SoftwareCodecEngine engine)
 }
 
 const SoftwareCodec &
-ResolveSoftwareCodec(SoftwareCodecEngine engine, const DescriptorPool &pool)
+ResolveSoftwareCodec(SoftwareCodecEngine engine, const DescriptorPool &pool,
+                     int msg_index)
 {
-    if (engine == SoftwareCodecEngine::kReference ||
-        (engine == SoftwareCodecEngine::kGenerated &&
-         GetGeneratedCodec(pool) != nullptr))
+    if (engine == SoftwareCodecEngine::kReference)
         return SoftwareCodecFor(engine);
+    if (engine == SoftwareCodecEngine::kGenerated) {
+        const GeneratedPoolCodec *c = GetGeneratedCodec(pool);
+        if (c != nullptr &&
+            (msg_index >= 0 ? c->covers(msg_index)
+                            : std::strchr(c->coverage, '0') == nullptr))
+            return SoftwareCodecFor(engine);
+    }
     GetCodecTables(pool);
     return SoftwareCodecFor(SoftwareCodecEngine::kTable);
 }

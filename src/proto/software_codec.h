@@ -6,7 +6,7 @@
  * size, serialize-to and serialize — with identical wire bytes,
  * verdicts and CostSink event streams; they differ only in host
  * wall-clock time. Callers pick an engine once (SoftwareCodecFor, or
- * ResolveSoftwareCodec when the generated tier may not cover the pool)
+ * ResolveSoftwareCodec when the generated tier may not cover the types)
  * and call through the returned entry, instead of switching on the
  * engine per op.
  */
@@ -49,20 +49,22 @@ struct SoftwareCodec
 };
 
 /// The entry points of @p engine. The generated engine's PA_CHECK that
-/// the message's pool has an emitted codec; use ResolveSoftwareCodec
-/// when it may not.
+/// the message's type has emitted code; use ResolveSoftwareCodec when
+/// it may not.
 const SoftwareCodec &SoftwareCodecFor(SoftwareCodecEngine engine);
 
 /**
  * Resolve @p engine against @p pool, once, before any op: warms the
  * pool state the engine reads (codec tables, generated-codec lookup)
- * and resolves the generated engine to the table engine when no
- * emitted codec matches the pool's fingerprint — the result's `engine`
- * differs from @p engine exactly in that downgrade. Like the caches it
- * warms, not thread-safe: resolve before sharing a pool across threads.
+ * and resolves the generated engine to the table engine unless an
+ * emitted codec covers every type of the pool or, when @p msg_index is
+ * given, that one type — the result's `engine` differs from @p engine
+ * exactly in that downgrade. Like the caches it warms, not thread-safe:
+ * resolve before sharing a pool across threads.
  */
 const SoftwareCodec &ResolveSoftwareCodec(SoftwareCodecEngine engine,
-                                          const DescriptorPool &pool);
+                                          const DescriptorPool &pool,
+                                          int msg_index = -1);
 
 }  // namespace protoacc::proto
 

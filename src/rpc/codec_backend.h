@@ -204,9 +204,9 @@ class CodecBackend
  * backend serves (proto/software_codec.h): the pool's codec tables or
  * generated codec are built up front, so the first RPC does not pay
  * the one-time cost and the backend never touches lazily built pool
- * state while serving. A generated engine with no emitted codec for the
- * pool serves on the table engine instead, and counts every op through
- * the miss (FallbackCounters::generated).
+ * state while serving. A generated engine with no emitted code for
+ * some type of the pool serves on the table engine instead, and counts
+ * every op through the miss (FallbackCounters::generated).
  */
 class SoftwareBackend : public CodecBackend
 {

@@ -222,8 +222,8 @@ struct WorkerSnapshot
     /// Hybrid-backend fallback accounting (zeros for other backends).
     uint64_t fallback_accel_fault = 0;
     uint64_t fallback_forced = 0;
-    /// Generated-engine ops downgraded to the table engine on a
-    /// fingerprint miss (zeros for other backends).
+    /// Generated-engine ops downgraded to the table engine when no
+    /// linked codec covers the whole pool (zeros for other backends).
     uint64_t generated_fallbacks = 0;
     /// Requests rejected for an unknown schema fingerprint (zeros when
     /// no SchemaRegistry is attached).

@@ -3,25 +3,33 @@
  * wire parity with the reference engine, cost-event parity with the
  * table engine, and the generator's edge cases — recursion at the depth
  * limit, proto3 UTF-8 validation, empty messages (pure unknown-field
- * skipping), and the 10-byte varint overflow path.
+ * skipping), and the 10-byte varint overflow path. The HyperProtoBench
+ * codecs, which cover only their workload's type and what it reaches,
+ * are checked for that coverage, for parity on every workload message,
+ * and for the contract on the types they leave out.
  *
- * The build links codecs for every pool recipe in tools/gen_pools
- * (pa_gen_codecs), so coverage is asserted, never skipped.
+ * The build links codecs for every pool recipe in tools/gen_pools and
+ * every HyperProtoBench workload (pa_gen_codecs), so coverage is
+ * asserted, never skipped.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "gen_pools.h"
+#include "hpb/generator.h"
 #include "proto/codec_generated.h"
 #include "proto/codec_reference.h"
 #include "proto/parser.h"
 #include "proto/schema_random.h"
 #include "proto/serializer.h"
+#include "proto/software_codec.h"
 #include "proto/wire_format.h"
+#include "rpc/codec_backend.h"
 
 namespace protoacc::proto {
 namespace {
@@ -47,6 +55,9 @@ TEST(GeneratedCodecRegistry, EveryAuxPoolHasALinkedCodec)
         EXPECT_EQ(codec->fingerprint, SchemaFingerprint(*np.pool))
             << np.name;
         EXPECT_EQ(codec->message_count, np.pool->message_count())
+            << np.name;
+        EXPECT_EQ(std::string(codec->coverage),
+                  std::string(np.pool->message_count(), '1'))
             << np.name;
     }
 }
@@ -458,6 +469,194 @@ TEST(GeneratedCodecEdge, AllocBudgetVerdictsMatchTableEngine)
         exhausted_seen |= table == ParseStatus::kResourceExhausted;
     }
     EXPECT_TRUE(exhausted_seen);
+}
+
+// -------------------------------------------------------------------
+// HyperProtoBench codecs: emitted for each workload's message type and
+// the types it reaches, and for nothing else in the pool.
+// -------------------------------------------------------------------
+
+const std::vector<hpb::HpbBenchmark> &
+HpbSuite()
+{
+    static const auto *suite = [] {
+        profile::Fleet fleet{profile::FleetParams{}};
+        return new std::vector<hpb::HpbBenchmark>(
+            hpb::BuildHyperProtoBench(fleet));
+    }();
+    return *suite;
+}
+
+/// '1' per type reachable from @p root through message-typed fields,
+/// walked over the descriptors (the generator walks its codec tables).
+std::string
+ReachableFrom(const DescriptorPool &pool, int root)
+{
+    std::string reach(pool.message_count(), '0');
+    std::vector<int> todo{root};
+    while (!todo.empty()) {
+        const int k = todo.back();
+        todo.pop_back();
+        if (reach[static_cast<size_t>(k)] == '1')
+            continue;
+        reach[static_cast<size_t>(k)] = '1';
+        for (const FieldDescriptor &fd : pool.message(k).fields()) {
+            if (fd.type == FieldType::kMessage)
+                todo.push_back(fd.message_type);
+        }
+    }
+    return reach;
+}
+
+/// A type of @p w's pool that its codec has no code for.
+int
+UncoveredType(const harness::Workload &w)
+{
+    const GeneratedPoolCodec *codec = GetGeneratedCodec(*w.pool);
+    for (int k = 0; k < codec->message_count; ++k) {
+        if (!codec->covers(k))
+            return k;
+    }
+    return -1;
+}
+
+TEST(GeneratedCodecHpb, CoversExactlyTheWorkloadClosure)
+{
+    const size_t want[] = {45, 29, 1, 94, 196, 40};
+    ASSERT_EQ(HpbSuite().size(), std::size(want));
+    for (size_t b = 0; b < HpbSuite().size(); ++b) {
+        const hpb::HpbBenchmark &bench = HpbSuite()[b];
+        const harness::Workload &w = bench.workload;
+        const GeneratedPoolCodec *codec = GetGeneratedCodec(*w.pool);
+        ASSERT_NE(codec, nullptr) << bench.name;
+        EXPECT_EQ(codec->message_count, w.pool->message_count())
+            << bench.name;
+        const std::string reach = ReachableFrom(*w.pool, w.msg_index);
+        EXPECT_EQ(std::string(codec->coverage), reach) << bench.name;
+        EXPECT_EQ(std::count(reach.begin(), reach.end(), '1'),
+                  static_cast<std::ptrdiff_t>(want[b]))
+            << bench.name;
+        EXPECT_TRUE(codec->covers(w.msg_index)) << bench.name;
+        EXPECT_FALSE(codec->covers(-1)) << bench.name;
+        EXPECT_FALSE(codec->covers(codec->message_count)) << bench.name;
+    }
+}
+
+TEST(GeneratedCodecHpb, EveryWorkloadMessageMatchesTableEngine)
+{
+    for (const hpb::HpbBenchmark &bench : HpbSuite()) {
+        const harness::Workload &w = bench.workload;
+        ASSERT_FALSE(w.messages.empty()) << bench.name;
+        ASSERT_EQ(w.messages.size(), w.wires.size()) << bench.name;
+        // With a sink and without one: the two instantiations of every
+        // emitted template.
+        for (const bool with_sink : {false, true}) {
+            for (size_t i = 0; i < w.messages.size(); ++i) {
+                const std::string ctx = bench.name + " message " +
+                                        std::to_string(i) +
+                                        (with_sink ? " sink" : "");
+                TallySink table_sink, gen_sink;
+                CostSink *ts = with_sink ? &table_sink : nullptr;
+                CostSink *gs = with_sink ? &gen_sink : nullptr;
+
+                const Message &m = w.messages[i];
+                EXPECT_EQ(GeneratedByteSize(m, gs), ByteSize(m, ts)) << ctx;
+                const std::vector<uint8_t> ser = Serialize(m, ts);
+                EXPECT_EQ(GeneratedSerialize(m, gs), ser) << ctx;
+                std::vector<uint8_t> tbuf(ser.size()), gbuf(ser.size());
+                EXPECT_EQ(SerializeToBuffer(m, tbuf.data(), tbuf.size(), ts),
+                          ser.size())
+                    << ctx;
+                EXPECT_EQ(GeneratedSerializeToBuffer(m, gbuf.data(),
+                                                     gbuf.size(), gs),
+                          ser.size())
+                    << ctx;
+                EXPECT_EQ(gbuf, tbuf) << ctx;
+
+                const std::vector<uint8_t> &wire = w.wires[i];
+                Arena a1, a2;
+                Message m1 = Message::Create(&a1, *w.pool, w.msg_index);
+                Message m2 = Message::Create(&a2, *w.pool, w.msg_index);
+                const ParseStatus table =
+                    ParseFromBuffer(wire.data(), wire.size(), &m1, ts);
+                ASSERT_EQ(GeneratedParseFromBuffer(wire.data(), wire.size(),
+                                                   &m2, gs),
+                          table)
+                    << ctx;
+                ASSERT_EQ(table, ParseStatus::kOk) << ctx;
+                EXPECT_EQ(Serialize(m2), Serialize(m1)) << ctx;
+                EXPECT_TRUE(table_sink == gen_sink)
+                    << ctx << "\n  table: " << table_sink.ToString()
+                    << "\n  gen:   " << gen_sink.ToString();
+
+                // A truncated wire: the same reject, after the same
+                // events.
+                TallySink table_cut, gen_cut;
+                Arena a3, a4;
+                Message m3 = Message::Create(&a3, *w.pool, w.msg_index);
+                Message m4 = Message::Create(&a4, *w.pool, w.msg_index);
+                const size_t cut = wire.size() / 2;
+                EXPECT_EQ(GeneratedParseFromBuffer(
+                              wire.data(), cut, &m4,
+                              with_sink ? &gen_cut : nullptr),
+                          ParseFromBuffer(wire.data(), cut, &m3,
+                                          with_sink ? &table_cut : nullptr))
+                    << ctx;
+                EXPECT_TRUE(table_cut == gen_cut) << ctx;
+            }
+        }
+    }
+}
+
+TEST(GeneratedCodecHpb, PoolResolvesToTableEngineAndCountsFallbacks)
+{
+    const harness::Workload &w = HpbSuite().front().workload;
+    EXPECT_EQ(ResolveSoftwareCodec(SoftwareCodecEngine::kGenerated, *w.pool)
+                  .engine,
+              SoftwareCodecEngine::kTable);
+    EXPECT_EQ(ResolveSoftwareCodec(SoftwareCodecEngine::kGenerated, *w.pool,
+                                   w.msg_index)
+                  .engine,
+              SoftwareCodecEngine::kGenerated);
+    EXPECT_EQ(ResolveSoftwareCodec(SoftwareCodecEngine::kGenerated, *w.pool,
+                                   UncoveredType(w))
+                  .engine,
+              SoftwareCodecEngine::kTable);
+
+    // A backend serving the whole pool runs the table engine and counts
+    // one generated fallback per op that runs an engine.
+    rpc::SoftwareBackend backend(cpu::BoomParams(), *w.pool,
+                                 SoftwareCodecEngine::kGenerated);
+    const auto generated = [&backend] {
+        return backend.fallback_counters().generated;
+    };
+    const Message &msg = w.messages.front();
+    const size_t size = backend.SerializedSize(msg);
+    EXPECT_EQ(generated(), 0u);
+    std::vector<uint8_t> buf(size);
+    EXPECT_EQ(backend.SerializeTo(msg, buf.data(), size), size);
+    EXPECT_EQ(generated(), 1u);
+    EXPECT_EQ(backend.Serialize(msg), buf);
+    EXPECT_EQ(generated(), 2u);
+    Arena arena;
+    Message dest = Message::Create(&arena, *w.pool, w.msg_index);
+    EXPECT_EQ(backend.Deserialize(buf.data(), buf.size(), &dest),
+              StatusCode::kOk);
+    EXPECT_EQ(generated(), 3u);
+}
+
+TEST(GeneratedCodecDeathTest, UncoveredTypeFailsTheDispatchCheck)
+{
+    const harness::Workload &w = HpbSuite().front().workload;
+    const int k = UncoveredType(w);
+    ASSERT_GE(k, 0);
+    Arena arena;
+    Message msg = Message::Create(&arena, *w.pool, k);
+    const uint8_t wire[1] = {};
+    EXPECT_DEATH(GeneratedParseFromBuffer(wire, 0, &msg),
+                 "PA_CHECK failed");
+    EXPECT_DEATH(GeneratedByteSize(msg), "PA_CHECK failed");
+    EXPECT_DEATH(GeneratedSerialize(msg), "PA_CHECK failed");
 }
 
 }  // namespace

@@ -155,8 +155,9 @@ TEST(SchemaSkew, CrossVersionQuadEngineDifferential)
                     std::to_string(seed);
                 const std::vector<uint8_t> out =
                     QuadRoundTrip(&rig, wire, ctx);
-                if (!(encode == 1 && decode == 2))
+                if (!(encode == 1 && decode == 2)) {
                     EXPECT_EQ(out, wire) << ctx;
+                }
                 rig.deser_arena.Reset();
             }
         }

@@ -6,19 +6,22 @@
  * pool suite into a single translation unit that the build compiles
  * into pa_gen_codecs. Usage:
  *
- *     codec_gen_main --suite=hpb --out=build/generated/hpb_codecs.gen.cc
- *     codec_gen_main --suite=aux --out=build/generated/aux_codecs.gen.cc
+ *     codec_gen_main --suite=hpb|aux --out=PATH [--index=N]
  *
  * --suite=hpb covers the six HyperProtoBench service schemas (the
- * fig12/fig13 workloads); --suite=aux covers the shared deterministic
- * recipes in gen_pools.h. Pools that fingerprint identically (e.g. the
- * two micro-varint variants if their layouts coincide) are emitted
- * once; the runtime registry would reject the duplicate anyway.
+ * fig12/fig13 workloads), each emitted for its workload's message type
+ * and the types it reaches; --suite=aux covers every type of the shared
+ * deterministic recipes in gen_pools.h. --index=N (a decimal) writes
+ * pool N alone. Pools that fingerprint identically (e.g. the two
+ * micro-varint variants if their layouts coincide) are emitted once;
+ * the runtime registry would reject the duplicate anyway. Exits 2 on a
+ * bad argument.
  */
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -36,6 +39,8 @@ struct SuitePool
 {
     std::string name;
     const protoacc::proto::DescriptorPool *pool = nullptr;
+    /// Types the codec is generated from (see GenerateCodecSource).
+    std::vector<int> roots;
 };
 
 int
@@ -55,11 +60,17 @@ Run(const std::string &suite, const std::string &out_path, int index)
         protoacc::profile::Fleet fleet{protoacc::profile::FleetParams{}};
         hpb = protoacc::hpb::BuildHyperProtoBench(fleet);
         for (const auto &bench : hpb)
-            pools.push_back({"hpb:" + bench.name, &bench.service->pool()});
+            pools.push_back({"hpb:" + bench.name, &bench.service->pool(),
+                             {bench.workload.msg_index}});
     } else if (suite == "aux") {
         aux = protoacc::genpools::BuildAuxSuite();
-        for (const auto &np : aux)
-            pools.push_back({np.name, np.pool.get()});
+        for (const auto &np : aux) {
+            // Every type: rpc:echo and aux:empty serve types their root
+            // does not reach.
+            std::vector<int> all(np.pool->message_count());
+            std::iota(all.begin(), all.end(), 0);
+            pools.push_back({np.name, np.pool.get(), all});
+        }
     } else {
         std::fprintf(stderr, "codec_gen_main: unknown --suite=%s\n",
                      suite.c_str());
@@ -87,7 +98,7 @@ Run(const std::string &suite, const std::string &out_path, int index)
         const uint64_t fp = SchemaFingerprint(*sp.pool);
         if (!seen.insert(fp).second)
             continue;  // structurally identical pool already covered
-        text += GenerateCodecSource(*sp.pool, sp.name);
+        text += GenerateCodecSource(*sp.pool, sp.name, sp.roots);
         ++emitted;
     }
 
@@ -122,7 +133,12 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             out_path = arg + 6;
         } else if (std::strncmp(arg, "--index=", 8) == 0) {
-            index = std::atoi(arg + 8);
+            const char *end = arg + std::strlen(arg);
+            const auto [p, ec] = std::from_chars(arg + 8, end, index);
+            if (ec != std::errc() || p != end || index < 0) {
+                std::fprintf(stderr, "codec_gen_main: bad %s\n", arg);
+                return 2;
+            }
         } else {
             std::fprintf(stderr, "codec_gen_main: unknown arg %s\n", arg);
             return 2;
