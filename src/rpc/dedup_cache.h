@@ -44,6 +44,13 @@
  * Serving workers reach the cache through a DedupCache::View, which
  * takes the shared lock twice per batch of calls (one probe, one
  * publish) instead of twice per call.
+ *
+ * Storage is what the policy already is, a FIFO of at most `capacity`
+ * entries: a ring of slots in insertion order and an open-addressed
+ * (tenant, key) -> slot index. Expiry and eviction advance the ring's
+ * head; an insertion reuses the slot after the newest entry and its
+ * payload buffer, so once the ring has grown (geometrically, as
+ * entries arrive) nothing under the lock allocates or frees.
  */
 #ifndef PROTOACC_RPC_DEDUP_CACHE_H
 #define PROTOACC_RPC_DEDUP_CACHE_H
@@ -52,7 +59,6 @@
 #include <deque>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "rpc/frame.h"
@@ -72,7 +78,7 @@ struct DedupConfig
 };
 
 /**
- * Thread-safe bounded map: (tenant, idempotency key) -> committed
+ * Thread-safe bounded cache: (tenant, idempotency key) -> committed
  * response frame (header + payload bytes). Shared by all workers of a
  * runtime so a retry that hashes to a different worker still hits;
  * scoped by tenant so colliding keys from different tenants can never
@@ -116,6 +122,10 @@ class DedupCache
     };
 
     class View;
+
+    /// A slot keeps a payload buffer of up to this many bytes when a
+    /// smaller payload replaces its own, and releases a larger one.
+    static constexpr size_t kSlotKeepBytes = 4096;
 
     explicit DedupCache(size_t capacity) : config_{capacity, 0} {}
     explicit DedupCache(const DedupConfig &config) : config_(config) {}
@@ -188,41 +198,56 @@ class DedupCache
     const DedupConfig &config() const { return config_; }
 
   private:
-    struct Entry
+    /// A ring slot; outside the live span, a spare awaiting reuse.
+    struct Slot
     {
+        TenantKey key;
         FrameHeader header;
         std::vector<uint8_t> payload;
         /// Value of insert_tick_ when this entry was committed.
         uint64_t tick = 0;
     };
 
-    struct TenantKeyHash
+    /// Index cell: the upper half of the key's hash, checked before the
+    /// slot is read, and the slot's index + 1 (0: an empty cell).
+    struct Cell
     {
-        size_t
-        operator()(const TenantKey &k) const
-        {
-            // splitmix64 over the concatenated bits: cheap, good
-            // avalanche, and exactness lives in operator== anyway.
-            uint64_t x = k.key ^ (static_cast<uint64_t>(k.tenant) << 48);
-            x += 0x9e3779b97f4a7c15ull;
-            x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-            x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-            return static_cast<size_t>(x ^ (x >> 31));
-        }
+        uint32_t hash = 0;
+        uint32_t slot = 0;
     };
 
-    /// Insert's body for a nonzero key. Caller holds mu_.
+    static uint32_t Hash(const TenantKey &k);
+
+    /// Slot holding @p key, or kNoSlot. (*Locked: the caller holds mu_.)
+    size_t FindLocked(const TenantKey &key) const;
+    /// Enter live slot @p slot in the index.
+    void IndexLocked(size_t slot);
+    /// Insert's body for a nonzero key.
     void InsertLocked(const TenantKey &key, const FrameHeader &header,
                       const uint8_t *payload, size_t payload_bytes);
+    /// Append an entry after the newest one (the caller made room),
+    /// growing the ring when every slot is live.
+    void PushLocked(const TenantKey &key, const FrameHeader &header,
+                    const uint8_t *payload, size_t payload_bytes,
+                    uint64_t tick);
+    /// Drop the oldest entry.
+    void PopLocked();
+    /// Lay the ring out oldest-first in more slots; rebuild the index.
+    void GrowLocked();
 
-    /// Drop entries older than the retry horizon, then enforce
-    /// capacity oldest-first. Caller holds mu_.
-    void EvictLocked();
+    static constexpr size_t kNoSlot = ~size_t{0};
 
     DedupConfig config_;
     mutable std::mutex mu_;
-    std::unordered_map<TenantKey, Entry, TenantKeyHash> entries_;
-    std::deque<TenantKey> fifo_;  ///< insertion order, for eviction
+    /// Live entries are slots head_, head_ + 1, ... (wrapping), live_
+    /// of them, oldest first. A deque grows without freeing a large
+    /// array, whose release would raise glibc's trim threshold.
+    std::deque<Slot> slots_;
+    size_t head_ = 0;
+    size_t live_ = 0;
+    /// Linear probing over a power of two of cells, at most half full;
+    /// deletion shifts later cells back (no tombstones).
+    std::vector<Cell> index_;
     uint64_t insert_tick_ = 0;   ///< monotone logical clock
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
@@ -295,7 +320,9 @@ class DedupCache::View
         TenantKey key;
         bool found = false;
         FrameHeader header;
-        std::vector<uint8_t> payload;
+        /// The entry's payload, copied into probe_bytes_.
+        size_t offset = 0;
+        size_t bytes = 0;
         uint64_t tick = 0;
         /// Entries the cache held that were inserted after this one.
         uint64_t newer = 0;
@@ -332,8 +359,11 @@ class DedupCache::View
     uint64_t staged_insertions_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
+    /// The probes_, staged_ and probe_bytes_ buffers keep their
+    /// capacity from batch to batch.
     std::vector<Probe> probes_;
     std::vector<Staged> staged_;
+    std::vector<uint8_t> probe_bytes_;
 };
 
 }  // namespace protoacc::rpc

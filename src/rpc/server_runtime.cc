@@ -109,15 +109,18 @@ RpcServerRuntime::Start()
 }
 
 RpcServerRuntime::Worker *
-RpcServerRuntime::PickWorker(uint32_t call_id)
+RpcServerRuntime::PickWorker(uint32_t call_id,
+                             std::unique_lock<std::mutex> *lock)
 {
     const size_t n = workers_.size();
     const size_t home = call_id % n;
     for (size_t i = 0; i < n; ++i) {
         Worker *w = workers_[(home + i) % n].get();
-        std::lock_guard<std::mutex> lock(w->mu);
-        if (!w->dead)
+        std::unique_lock<std::mutex> candidate(w->mu);
+        if (!w->dead) {
+            *lock = std::move(candidate);
             return w;
+        }
     }
     return nullptr;
 }
@@ -171,49 +174,40 @@ RpcServerRuntime::Submit(const FrameHeader &header,
     // Legal before Start(): frames queue in the inboxes and the workers
     // pick them up once spawned (a pre-loaded backlog drains in exact
     // max_batch chunks, which keeps batch boundaries deterministic).
-    // A worker can die between PickWorker and the enqueue below; the
-    // frame then lands in a dead inbox, which Drain() harvests and
-    // re-dispatches — enqueueing is never lossy, just possibly late.
-    Worker *wp = PickWorker(header.call_id);
+    // Copy the frame before taking any lock; PickWorker's one lock then
+    // covers liveness, admission and the enqueue. A worker dying after
+    // the enqueue leaves the frame in its inbox for Drain() to harvest
+    // and re-dispatch — enqueueing is never lossy, just possibly late.
+    OwnedFrame frame;
+    frame.header = header;
+    if (header.payload_bytes > 0)
+        frame.payload.assign(payload, payload + header.payload_bytes);
+    std::unique_lock<std::mutex> lock;
+    Worker *wp = PickWorker(header.call_id, &lock);
     if (wp == nullptr) {
         if (tenants_ != nullptr)
             tenants_->CommitAdmission(header.tenant_id, ticket, true);
         return StatusCode::kUnavailable;  // every worker has crashed
     }
     Worker &w = *wp;
-    bool worker_shed = false;
-    {
-        std::lock_guard<std::mutex> lock(w.mu);
-        PA_CHECK(!w.stop);
-        if (config_.admission_max_wait_ns > 0) {
-            // Shed when the modeled backlog wait — queued calls times
-            // the worker's per-call service estimate — already exceeds
-            // the bound; admitting more only makes every queued call
-            // later.
-            const double est =
-                w.est_call_ns.load(std::memory_order_relaxed);
-            const double wait_ns =
-                static_cast<double>(w.pending) * est;
-            if (wait_ns > config_.admission_max_wait_ns) {
-                ++w.shed;
-                worker_shed = true;
-            }
-        }
-        if (!worker_shed) {
-            OwnedFrame frame;
-            frame.header = header;
-            if (header.payload_bytes > 0)
-                frame.payload.assign(payload,
-                                     payload + header.payload_bytes);
-            w.inbox.push_back(std::move(frame));
-            ++w.pending;
+    PA_CHECK(!w.stop);
+    if (config_.admission_max_wait_ns > 0) {
+        // Shed when the modeled backlog wait — queued calls times the
+        // worker's per-call service estimate — already exceeds the
+        // bound; admitting more only makes every queued call later.
+        const double est = w.est_call_ns.load(std::memory_order_relaxed);
+        const double wait_ns = static_cast<double>(w.pending) * est;
+        if (wait_ns > config_.admission_max_wait_ns) {
+            ++w.shed;
+            lock.unlock();
+            if (tenants_ != nullptr)
+                tenants_->CommitAdmission(header.tenant_id, ticket, true);
+            return StatusCode::kOverloaded;
         }
     }
-    if (worker_shed) {
-        if (tenants_ != nullptr)
-            tenants_->CommitAdmission(header.tenant_id, ticket, true);
-        return StatusCode::kOverloaded;
-    }
+    w.inbox.push_back(std::move(frame));
+    ++w.pending;
+    lock.unlock();
     total_pending_.fetch_add(1, std::memory_order_relaxed);
     if (tenants_ != nullptr)
         tenants_->CommitAdmission(header.tenant_id, ticket, false);
@@ -315,7 +309,8 @@ RpcServerRuntime::RedispatchStrandedFrames()
     size_t moved = 0;
     std::vector<std::vector<OwnedFrame>> regrouped(workers_.size());
     for (OwnedFrame &f : stranded) {
-        Worker *target = PickWorker(f.header.call_id);
+        std::unique_lock<std::mutex> lock;
+        Worker *target = PickWorker(f.header.call_id, &lock);
         if (target == nullptr) {
             // No survivors: the call is lost; the client's retry needs
             // a restarted runtime. It will never execute, so it leaves
@@ -595,6 +590,9 @@ RpcServerRuntime::WorkerLoop(Worker *w)
 {
     std::vector<OwnedFrame> batch;
     for (;;) {
+        // Free the last batch's frames before taking the inbox lock, so
+        // the lock submitters contend on never covers their frees.
+        batch.clear();
         size_t backlog = 0;
         {
             std::unique_lock<std::mutex> lock(w->mu);
@@ -625,7 +623,6 @@ RpcServerRuntime::WorkerLoop(Worker *w)
             }
             const size_t n = std::min<size_t>(config_.max_batch,
                                               w->inbox.size());
-            batch.clear();
             batch.reserve(n);
             for (size_t i = 0; i < n; ++i) {
                 batch.push_back(std::move(w->inbox.front()));

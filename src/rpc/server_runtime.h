@@ -664,8 +664,9 @@ class RpcServerRuntime
                         size_t backlog, bool *killed);
     void ReplayAcceleratorTimeline();
     /// Home worker for @p call_id, or the next surviving worker when
-    /// the home one is dead; nullptr when every worker is dead.
-    Worker *PickWorker(uint32_t call_id);
+    /// the home one is dead, returned with @p lock holding its mutex;
+    /// nullptr when every worker is dead.
+    Worker *PickWorker(uint32_t call_id, std::unique_lock<std::mutex> *lock);
     /// Harvest dead workers' un-acked frames and re-submit them to
     /// survivors. Returns the number of frames moved.
     size_t RedispatchStrandedFrames();

@@ -202,6 +202,44 @@ TEST_F(CrashRecoveryTest, EveryWorkerDeadMakesSubmitUnavailable)
               StatusCode::kUnavailable);
 }
 
+TEST_F(CrashRecoveryTest, SubmitSkipsADeadHomeWorker)
+{
+    sim::FaultConfig fault_config;
+    fault_config.worker_kills = {{1, 1}};  // worker 1 dies after 1 call
+    sim::FaultInjector injector(0xDEAD, fault_config);
+
+    RuntimeConfig config;
+    config.num_workers = 4;
+    config.fault_injector = &injector;
+    RpcServerRuntime runtime(&pool_, SoftwareFactory(), config);
+    runtime.RegisterMethod(1, req_, rsp_, EchoHandler());
+    SubmitEchoes(&runtime, 8);
+    runtime.Start();
+    runtime.Drain();
+    const RuntimeSnapshot before = runtime.Snapshot();
+    ASSERT_TRUE(before.workers[1].crashed);
+    EXPECT_EQ(before.redispatched_frames, 1u);  // call 5
+
+    // Call 9's home is worker 1 (9 % 4); the next survivor takes it.
+    const std::vector<uint8_t> wire = RequestWire(9, "after-the-crash");
+    FrameHeader h;
+    h.call_id = 9;
+    h.method_id = 1;
+    h.kind = FrameKind::kRequest;
+    h.payload_bytes = static_cast<uint32_t>(wire.size());
+    EXPECT_EQ(runtime.Submit(h, wire.data()), StatusCode::kOk);
+    runtime.Drain();
+
+    const RuntimeSnapshot after = runtime.Snapshot();
+    EXPECT_EQ(after.calls, 9u);
+    EXPECT_EQ(after.failures, 0u);
+    EXPECT_EQ(after.workers[1].calls, before.workers[1].calls);
+    EXPECT_EQ(after.workers[2].calls, before.workers[2].calls + 1);
+    // Submitted straight to the survivor, not harvested by Drain().
+    EXPECT_EQ(after.redispatched_frames, before.redispatched_frames);
+    EXPECT_EQ(HarvestReplies(runtime).at(9), "after-the-crash");
+}
+
 TEST_F(CrashRecoveryTest, RedispatchedRetryHitsDedupInsteadOfRerunning)
 {
     // A call that committed its response, then gets submitted again

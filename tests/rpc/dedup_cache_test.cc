@@ -1,11 +1,88 @@
 #include "rpc/dedup_cache.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/crc32c.h"
+#include "common/rng.h"
+#include "dedup_cache_reference.h"
+
+// Every heap allocation in this test binary goes through these
+// replacements, so a test can count the allocations (and the bytes
+// held) across a stretch of cache operations.
+namespace {
+
+std::atomic<uint64_t> g_heap_allocations{0};
+std::atomic<int64_t> g_heap_live_bytes{0};
+
+void *
+CountedAlloc(std::size_t n)
+{
+    void *p = std::malloc(n == 0 ? 1 : n);
+    if (p == nullptr)
+        throw std::bad_alloc();
+    g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_heap_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                                std::memory_order_relaxed);
+    return p;
+}
+
+void
+CountedFree(void *p) noexcept
+{
+    if (p == nullptr)
+        return;
+    g_heap_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                                std::memory_order_relaxed);
+    std::free(p);
+}
+
+}  // namespace
+
+void *
+operator new(std::size_t n)
+{
+    return CountedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return CountedAlloc(n);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    CountedFree(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    CountedFree(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    CountedFree(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    CountedFree(p);
+}
 
 namespace protoacc::rpc {
 namespace {
@@ -707,6 +784,372 @@ TEST(DedupCacheTest, ConcurrentViewsOverOverlappingKeysAreSafe)
     EXPECT_EQ(stats.evictions, 0u);
     EXPECT_EQ(stats.hits + stats.misses,
               static_cast<uint64_t>(kThreads) * kKeysPerThread);
+}
+
+// ---- Oracle: DedupCache against the map+deque reference ----
+
+using reference::ReferenceDedupCache;
+
+/// Same Stats and the same snapshot bytes.
+::testing::AssertionResult
+SameState(const DedupCache &cache, const ReferenceDedupCache &ref)
+{
+    const DedupCache::Stats a = cache.stats();
+    const ReferenceDedupCache::Stats b = ref.stats();
+    if (a.hits != b.hits || a.misses != b.misses ||
+        a.insertions != b.insertions || a.evictions != b.evictions ||
+        a.unsafe_evictions != b.unsafe_evictions ||
+        a.expired != b.expired || a.entries != b.entries ||
+        a.capacity != b.capacity || a.restored != b.restored)
+        return ::testing::AssertionFailure()
+               << "stats differ: hits " << a.hits << "/" << b.hits
+               << " misses " << a.misses << "/" << b.misses
+               << " insertions " << a.insertions << "/" << b.insertions
+               << " evictions " << a.evictions << "/" << b.evictions
+               << " unsafe " << a.unsafe_evictions << "/"
+               << b.unsafe_evictions << " expired " << a.expired << "/"
+               << b.expired << " entries " << a.entries << "/"
+               << b.entries << " restored " << a.restored << "/"
+               << b.restored;
+    if (cache.Serialize() != ref.Serialize())
+        return ::testing::AssertionFailure() << "snapshot bytes differ";
+    return ::testing::AssertionSuccess();
+}
+
+/// Same hit or miss, and on a hit the same header and payload.
+::testing::AssertionResult
+SameAnswer(bool hit, const FrameHeader &h, const std::vector<uint8_t> &p,
+           bool ref_hit, const FrameHeader &ref_h,
+           const std::vector<uint8_t> &ref_p)
+{
+    if (hit != ref_hit)
+        return ::testing::AssertionFailure()
+               << "hit " << hit << ", reference " << ref_hit;
+    if (hit && (h.call_id != ref_h.call_id ||
+                h.idempotency_key != ref_h.idempotency_key ||
+                h.tenant_id != ref_h.tenant_id ||
+                h.payload_bytes != ref_h.payload_bytes || p != ref_p))
+        return ::testing::AssertionFailure() << "answers differ";
+    return ::testing::AssertionSuccess();
+}
+
+/// Replays one seeded trace through a DedupCache and the reference:
+/// per-call lookups and inserts, views of 1-16 calls, and snapshots
+/// restored into caches of smaller, equal and larger capacity (or, from
+/// earlier in the trace, into the live caches). Checks every answer
+/// and, after every step, Stats and snapshot bytes.
+void
+ReplayAgainstReference(uint64_t seed, size_t capacity, uint64_t horizon,
+                       size_t steps)
+{
+    Rng rng(seed);
+    DedupConfig config{capacity, horizon};
+    auto cache = std::make_unique<DedupCache>(config);
+    auto ref = std::make_unique<ReferenceDedupCache>(config);
+    // Enough distinct keys to hit, miss and evict; key 0 now and then.
+    const uint64_t pool = capacity + 1 + rng.NextBounded(capacity + 4);
+    uint32_t call_id = 0;
+    const auto draw_key = [&] {
+        return DedupCache::TenantKey{
+            static_cast<uint16_t>(rng.NextBounded(2)),
+            rng.NextBounded(40) == 0 ? 0 : 1 + rng.NextBounded(pool)};
+    };
+    // A fresh answer per call, now and then larger than a slot keeps.
+    const auto answer = [&](const DedupCache::TenantKey &k) {
+        const size_t bytes =
+            rng.NextBounded(50) == 0
+                ? DedupCache::kSlotKeepBytes + rng.NextBounded(512)
+                : rng.NextBounded(48);
+        std::vector<uint8_t> p(bytes);
+        for (size_t i = 0; i < bytes; ++i)
+            p[i] = static_cast<uint8_t>(call_id + k.key * 7 + i);
+        return p;
+    };
+    const auto header_for = [&](const DedupCache::TenantKey &k,
+                                size_t bytes) {
+        FrameHeader h = ResponseHeader(++call_id, k.key, bytes);
+        h.tenant_id = k.tenant;
+        return h;
+    };
+    std::vector<uint8_t> saved_image = ref->Serialize();
+
+    for (size_t step = 0; step < steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const uint64_t op = rng.NextBounded(100);
+        if (op < 35) {
+            // One call: look up, commit on a miss.
+            const DedupCache::TenantKey k = draw_key();
+            FrameHeader h, ref_h;
+            std::vector<uint8_t> p, ref_p;
+            const bool hit = cache->Lookup(k.tenant, k.key, &h, &p);
+            const bool ref_hit = ref->Lookup(k.tenant, k.key, &ref_h,
+                                             &ref_p);
+            ASSERT_TRUE(SameAnswer(hit, h, p, ref_hit, ref_h, ref_p));
+            if (!hit) {
+                const std::vector<uint8_t> a = answer(k);
+                const FrameHeader ah = header_for(k, a.size());
+                cache->Insert(k.tenant, k.key, ah, a.data(), a.size());
+                ref->Insert(k.tenant, k.key, ah, a.data(), a.size());
+            }
+        } else if (op < 45) {
+            // A commit without a lookup (a key already present is
+            // ignored).
+            const DedupCache::TenantKey k = draw_key();
+            const std::vector<uint8_t> a = answer(k);
+            const FrameHeader ah = header_for(k, a.size());
+            cache->Insert(k.tenant, k.key, ah, a.data(), a.size());
+            ref->Insert(k.tenant, k.key, ah, a.data(), a.size());
+        } else if (op < 88) {
+            // A batch of 1-16 calls through a view of each cache.
+            const size_t n = 1 + rng.NextBounded(16);
+            std::vector<DedupCache::TenantKey> keys;
+            std::vector<ReferenceDedupCache::TenantKey> ref_keys;
+            for (size_t i = 0; i < n; ++i) {
+                keys.push_back(draw_key());
+                ref_keys.push_back({keys.back().tenant, keys.back().key});
+            }
+            FrameBuffer stream, ref_stream;
+            DedupCache::View view;
+            ReferenceDedupCache::View ref_view;
+            view.Open(cache.get(), &stream, keys.data(), n);
+            ref_view.Open(ref.get(), &ref_stream, ref_keys.data(), n);
+            for (const DedupCache::TenantKey &k : keys) {
+                FrameHeader h, ref_h;
+                std::vector<uint8_t> p, ref_p;
+                bool hit = false, ref_hit = false;
+                if (rng.NextBounded(5) != 0) {
+                    hit = view.Lookup(k.tenant, k.key, &h, &p);
+                    ref_hit = ref_view.Lookup(k.tenant, k.key, &ref_h,
+                                              &ref_p);
+                    ASSERT_TRUE(
+                        SameAnswer(hit, h, p, ref_hit, ref_h, ref_p));
+                }
+                if (hit) {
+                    stream.Append(h, p.data());
+                    ref_stream.Append(ref_h, ref_p.data());
+                    continue;
+                }
+                const std::vector<uint8_t> a = answer(k);
+                const FrameHeader ah = header_for(k, a.size());
+                const size_t at = stream.bytes() + FrameHeader::kWireBytes;
+                const size_t ref_at =
+                    ref_stream.bytes() + FrameHeader::kWireBytes;
+                stream.Append(ah, a.data());
+                ref_stream.Append(ah, a.data());
+                view.Commit(k.tenant, k.key, ah, at, a.size());
+                ref_view.Commit(k.tenant, k.key, ah, ref_at, a.size());
+            }
+            view.Publish();
+            ref_view.Publish();
+        } else if (op < 94) {
+            // Restart: the snapshot restored into a new cache of
+            // smaller, equal or larger capacity.
+            const std::vector<uint8_t> image = cache->Serialize();
+            ASSERT_EQ(image, ref->Serialize());
+            const size_t choice = rng.NextBounded(3);
+            config.capacity = choice == 0   ? std::max<size_t>(
+                                                  1, capacity / 2)
+                              : choice == 1 ? capacity
+                                            : 2 * capacity;
+            cache = std::make_unique<DedupCache>(config);
+            ref = std::make_unique<ReferenceDedupCache>(config);
+            ASSERT_TRUE(cache->Deserialize(image.data(), image.size()));
+            ASSERT_TRUE(ref->Deserialize(image.data(), image.size()));
+        } else if (op < 97) {
+            saved_image = ref->Serialize();
+        } else {
+            // An older snapshot restored over the live caches.
+            ASSERT_TRUE(
+                cache->Deserialize(saved_image.data(), saved_image.size()));
+            ASSERT_TRUE(
+                ref->Deserialize(saved_image.data(), saved_image.size()));
+        }
+        ASSERT_TRUE(SameState(*cache, *ref));
+    }
+}
+
+TEST(DedupCacheTest, MatchesTheMapAndDequeReferenceOnRandomTraces)
+{
+    Rng rng(0xDED0C);
+    for (size_t capacity = 1; capacity <= 64; ++capacity) {
+        const uint64_t horizon = rng.NextBounded(2 * capacity + 1);
+        const uint64_t seed = rng.Next();
+        SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                     " horizon " + std::to_string(horizon) + " seed " +
+                     std::to_string(seed));
+        ReplayAgainstReference(seed, capacity, horizon, 150);
+        if (HasFatalFailure())
+            return;
+    }
+}
+
+TEST(DedupCacheTest, RestoreOfAnImageWithRepeatedKeysMatchesTheReference)
+{
+    // Serialize() never repeats a key, but a well-formed image from
+    // elsewhere can: the first occurrence wins, as on Insert.
+    DedupCache source(8);
+    for (uint64_t key = 1; key <= 5; ++key) {
+        const std::vector<uint8_t> p = Payload("v" + std::to_string(key));
+        source.Insert(key, ResponseHeader(1, key, p.size()), p.data(),
+                      p.size());
+    }
+    const std::vector<uint8_t> image = source.Serialize();
+    // Header: magic, version, 3 reserved, tick u64, count u32; then the
+    // entries; then the CRC. Repeat every entry once, with new payloads
+    // so that the winner shows.
+    constexpr size_t kPrefix = 20;
+    std::vector<uint8_t> twice(image.begin(), image.end() - 4);
+    std::vector<uint8_t> body(image.begin() + kPrefix, image.end() - 4);
+    std::replace(body.begin(), body.end(), uint8_t{'v'}, uint8_t{'w'});
+    twice.insert(twice.end(), body.begin(), body.end());
+    twice[16] = static_cast<uint8_t>(2 * image[16]);
+    const uint32_t crc = Crc32c(twice.data(), twice.size());
+    for (int i = 0; i < 4; ++i)
+        twice.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+
+    for (const size_t capacity : {size_t{3}, size_t{8}, size_t{16}}) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity));
+        DedupCache cache(capacity);
+        ReferenceDedupCache ref(capacity);
+        ASSERT_TRUE(cache.Deserialize(twice.data(), twice.size()));
+        ASSERT_TRUE(ref.Deserialize(twice.data(), twice.size()));
+        EXPECT_TRUE(SameState(cache, ref));
+        FrameHeader header;
+        std::vector<uint8_t> payload;
+        ASSERT_TRUE(cache.Lookup(5, &header, &payload));
+        EXPECT_EQ(payload, Payload("v5"));
+    }
+}
+
+/// Runs @p rounds rounds of steady serving against @p cache: a view of
+/// kBatch calls (half retries of recent keys, half new keys committed
+/// with a payload of at most @p max_payload bytes), then a per-call
+/// insert and lookup. Everything it uses is reused across rounds.
+class SteadyServing
+{
+  public:
+    static constexpr size_t kBatch = 16;
+
+    SteadyServing(DedupCache *cache, size_t max_payload)
+        : cache_(cache), max_payload_(max_payload),
+          answer_(max_payload, 0x5A)
+    {
+        keys_.reserve(kBatch);
+        payload_.reserve(max_payload);
+    }
+
+    /// @p full: every payload is max_payload bytes (the warm-up).
+    void
+    Run(size_t rounds, bool full)
+    {
+        for (size_t r = 0; r < rounds; ++r) {
+            keys_.clear();
+            for (size_t i = 0; i < kBatch / 2; ++i) {
+                keys_.push_back({0, next_key_ + i});
+                keys_.push_back({0, next_key_ > 20 ? next_key_ - 20 + i
+                                                   : next_key_ + i});
+            }
+            stream_.clear();
+            view_.Open(cache_, &stream_, keys_.data(), keys_.size());
+            for (const DedupCache::TenantKey &k : keys_) {
+                if (view_.Lookup(k.tenant, k.key, &header_, &payload_)) {
+                    ++hits_;
+                    stream_.Append(header_, payload_.data());
+                    continue;
+                }
+                const FrameHeader h = ResponseHeader(1, k.key, Bytes(full));
+                const size_t at = stream_.bytes() + FrameHeader::kWireBytes;
+                stream_.Append(h, answer_.data());
+                view_.Commit(k.tenant, k.key, h, at, h.payload_bytes);
+            }
+            view_.Publish();
+            next_key_ += kBatch / 2;
+            const uint64_t key = ++next_key_;
+            const FrameHeader h = ResponseHeader(2, key, Bytes(full));
+            cache_->Insert(key, h, answer_.data(), h.payload_bytes);
+            hits_ += cache_->Lookup(key - 3, &header_, &payload_) ? 1 : 0;
+        }
+    }
+
+    uint64_t hits() const { return hits_; }
+
+  private:
+    size_t
+    Bytes(bool full)
+    {
+        return full ? max_payload_ : 1 + (++sizes_ * 37) % max_payload_;
+    }
+
+    DedupCache *cache_;
+    size_t max_payload_;
+    std::vector<uint8_t> answer_;
+    std::vector<DedupCache::TenantKey> keys_;
+    FrameBuffer stream_;
+    DedupCache::View view_;
+    FrameHeader header_;
+    std::vector<uint8_t> payload_;
+    uint64_t next_key_ = 1;
+    uint64_t sizes_ = 0;
+    uint64_t hits_ = 0;
+};
+
+TEST(DedupCacheTest, SteadyStateInsertsAndViewPublishesAllocateNothing)
+{
+    constexpr size_t kCapacity = 256;
+    constexpr size_t kMaxPayload = 200;
+    // Pure FIFO (every insertion evicts) and a horizon shorter than the
+    // capacity (every insertion expires an entry).
+    for (const uint64_t horizon : {uint64_t{0}, uint64_t{100}}) {
+        SCOPED_TRACE("horizon " + std::to_string(horizon));
+        DedupCache cache(DedupConfig{kCapacity, horizon});
+        SteadyServing serving(&cache, kMaxPayload);
+        // Warm-up: every slot the ring grows to takes a full-size
+        // payload, and the view's buffers reach their batch size.
+        serving.Run(4 * kCapacity / SteadyServing::kBatch * 2, true);
+        const DedupCache::Stats warm = cache.stats();
+        const uint64_t warm_hits = serving.hits();
+
+        const uint64_t before =
+            g_heap_allocations.load(std::memory_order_relaxed);
+        serving.Run(1200, false);
+        const uint64_t allocations =
+            g_heap_allocations.load(std::memory_order_relaxed) - before;
+
+        EXPECT_EQ(allocations, 0u);
+        const DedupCache::Stats stats = cache.stats();
+        EXPECT_GE(stats.insertions - warm.insertions, 10000u);
+        EXPECT_GT(serving.hits(), warm_hits);
+        EXPECT_GE(stats.evictions - warm.evictions, 10000u);
+        EXPECT_EQ(stats.expired > warm.expired, horizon > 0);
+    }
+}
+
+TEST(DedupCacheTest, SlotsReleaseOutsizedPayloadBuffers)
+{
+    constexpr size_t kCapacity = 8;
+    constexpr size_t kLarge = 16 * DedupCache::kSlotKeepBytes;
+    DedupCache cache(kCapacity);
+    const std::vector<uint8_t> large(kLarge, 0xAB);
+    const std::vector<uint8_t> small(16, 0xCD);
+    for (uint64_t key = 1; key <= kCapacity; ++key)
+        cache.Insert(key, ResponseHeader(1, key, large.size()),
+                     large.data(), large.size());
+    const int64_t held = g_heap_live_bytes.load(std::memory_order_relaxed);
+    for (uint64_t key = kCapacity + 1; key <= 2 * kCapacity; ++key)
+        cache.Insert(key, ResponseHeader(2, key, small.size()),
+                     small.data(), small.size());
+    const int64_t released =
+        held - g_heap_live_bytes.load(std::memory_order_relaxed);
+
+    // Every slot now holds a small payload, and none kept its large
+    // buffer.
+    EXPECT_GE(released, static_cast<int64_t>(
+                            kCapacity * (kLarge - DedupCache::kSlotKeepBytes)));
+    EXPECT_EQ(cache.stats().entries, kCapacity);
+    FrameHeader header;
+    std::vector<uint8_t> payload;
+    ASSERT_TRUE(cache.Lookup(2 * kCapacity, &header, &payload));
+    EXPECT_EQ(payload, small);
 }
 
 }  // namespace
